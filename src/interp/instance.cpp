@@ -209,17 +209,24 @@ Values Instance::invoke_index(uint32_t func_index, const Values& args) {
     throw LinkError("cannot invoke an imported function directly");
   }
 
-  size_t stack_mark = stack_.size();
+  const size_t stack_mark = stack_.size();
+  const size_t frame_mark = frames_.size();
   for (const auto& a : args) push_raw(a.bits);
-  enter_frame(func_index - static_cast<uint32_t>(mod().imports.size()));
-  run(frames_.size());
+  try {
+    enter_frame(func_index - static_cast<uint32_t>(mod().imports.size()));
+    run(frames_.size());
+  } catch (...) {
+    // Unwind the frames and operand-stack slots the trapped call left, so
+    // the instance stays usable. run() has already un-charged, which reads
+    // frames_.back().
+    frames_.resize(frame_mark);
+    stack_.resize(stack_mark);
+    throw;
+  }
 
   Values results(type.results.size());
   for (size_t i = type.results.size(); i-- > 0;) {
     results[i] = TypedValue{type.results[i], pop_raw()};
-  }
-  if (stack_.size() != stack_mark) {
-    stack_.resize(stack_mark);  // defensive; should not happen
   }
   // Fold the tail of the memory-size integral.
   note_memory_growth();

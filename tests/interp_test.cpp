@@ -601,6 +601,37 @@ TEST(Traps, CallStackExhaustion) {
   EXPECT_THROW(inst.invoke("f"), TrapError);
 }
 
+// A trapped call must leave nothing behind: each trap here leaves one frame
+// and its operand-stack slots unless invoke unwinds them, and at
+// max_call_depth = 100 the 101st call would then exhaust the call stack.
+TEST(Traps, TrappedCallsLeaveInstanceReusable) {
+  Instance::Options opts;
+  opts.cache_model = false;
+  opts.max_call_depth = 100;
+  Instance inst = make_instance(R"((module
+    (func (export "div") (param i32 i32) (result i32)
+      local.get 0 local.get 1 i32.div_s)
+    (func (export "seven") (result i32) i32.const 7)))",
+                                {}, opts);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_THROW(inst.invoke("div", {V::make_i32(7), V::make_i32(0)}),
+                 TrapError);
+  }
+  EXPECT_EQ(inst.invoke("seven").at(0).i32(), 7);
+  EXPECT_EQ(inst.invoke("div", {V::make_i32(7), V::make_i32(2)}).at(0).i32(),
+            3);
+}
+
+TEST(Traps, CallStackExhaustionLeavesInstanceReusable) {
+  Instance inst = make_instance(R"((module
+    (func $f (export "f") call $f)
+    (func (export "seven") (result i32) i32.const 7)))");
+  EXPECT_THROW(inst.invoke("f"), TrapError);
+  EXPECT_EQ(inst.invoke("seven").at(0).i32(), 7);
+  EXPECT_THROW(inst.invoke("f"), TrapError);
+  EXPECT_EQ(inst.invoke("seven").at(0).i32(), 7);
+}
+
 TEST(Traps, CallIndirectFailures) {
   const char* wat = R"((module
     (type $t0 (func (result i32)))

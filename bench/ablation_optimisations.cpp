@@ -1,5 +1,5 @@
 // Ablation: how much each instrumentation optimisation contributes
-// (DESIGN.md §5 "Key design decisions"), plus the dispatch-backend
+// (DESIGN.md §5 "Key design decisions"), plus the superinstruction-fusion
 // ablation for the three-stage pipeline (DESIGN.md §15).
 //
 // Section 1: for every PolyBench kernel and use case, reports the number
@@ -9,11 +9,10 @@
 // join/dominator increments, loop-based removes the per-iteration
 // increments entirely.
 //
-// Section 2: wall-clock per dispatch backend (flattened switch, flattened
-// computed-goto, bytecode switch, bytecode computed-goto) and with
-// superinstruction fusion disabled, over loop-instrumented kernels — the
-// fig6 dispatch trajectory. `--json <path>` writes the records
-// (BENCH_fig6_dispatch.json in CI) so the trajectory is tracked PR-to-PR.
+// Section 2: wall-clock of the bytecode interpreter with superinstruction
+// fusion on and off, over loop-instrumented kernels — the fig6 dispatch
+// trajectory. `--json <path>` writes the records (BENCH_fig6_dispatch.json
+// in CI) so the trajectory is tracked PR-to-PR.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -74,31 +73,25 @@ void print_row(const std::string& name, const Sample& s) {
               static_cast<unsigned long long>(s.hoisted));
 }
 
-// ---- Section 2: dispatch-backend ablation -------------------------------
+// ---- Section 2: superinstruction-fusion ablation ------------------------
 
-struct Backend {
+struct Lowering {
   const char* label;
-  interp::DispatchMode mode;
   bool fuse;  // superinstruction fusion at lowering time
 };
 
-constexpr Backend kBackends[] = {
-    {"flat-switch", interp::DispatchMode::Switch, true},
-    {"flat-goto", interp::DispatchMode::Threaded, true},
-    {"bc-switch", interp::DispatchMode::BytecodeSwitch, true},
-    {"bc-goto", interp::DispatchMode::Bytecode, true},
-    {"bc-nofuse", interp::DispatchMode::Bytecode, false},
+constexpr Lowering kLowerings[] = {
+    {"bc-goto", true},
+    {"bc-nofuse", false},
 };
 
-/// Best-of-`reps` wall time of one invocation of `compiled` under `mode`.
-double time_backend(const interp::CompiledModulePtr& compiled,
-                    interp::DispatchMode mode, int reps,
-                    uint64_t* instructions) {
+/// Best-of-`reps` wall time of one invocation of `compiled`.
+double time_lowering(const interp::CompiledModulePtr& compiled, int reps,
+                     uint64_t* instructions) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
     interp::Instance::Options options =
         bench::scaled_options(interp::Platform::Wasm);
-    options.dispatch = mode;
     auto t0 = std::chrono::steady_clock::now();
     interp::Instance inst(compiled, {}, options);
     inst.invoke("run", {});
@@ -111,17 +104,14 @@ double time_backend(const interp::CompiledModulePtr& compiled,
   return best;
 }
 
-void dispatch_ablation(bench::JsonReporter& json, bool smoke) {
-  std::printf("\nDispatch-backend ablation: loop-instrumented kernels, "
-              "best-of-%d wall ms (lower is better)%s\n",
-              smoke ? 2 : 3,
-              interp::Instance::bytecode_available()
-                  ? ""
-                  : " [bytecode not compiled in: bc rows fall back to flat]");
+void fusion_ablation(bench::JsonReporter& json, bool smoke) {
+  std::printf("\nSuperinstruction-fusion ablation: loop-instrumented kernels, "
+              "best-of-%d wall ms (lower is better)\n",
+              smoke ? 2 : 3);
   std::printf("%-14s", "kernel");
-  for (const Backend& b : kBackends) std::printf("%11s", b.label);
-  std::printf("%11s\n", "goto-gain");
-  std::printf("%s\n", std::string(14 + 11 * 6, '-').c_str());
+  for (const Lowering& l : kLowerings) std::printf("%11s", l.label);
+  std::printf("%11s\n", "fuse-gain");
+  std::printf("%s\n", std::string(14 + 11 * 3, '-').c_str());
 
   const char* const kKernels[] = {"gemm",   "atax",      "bicg",
                                   "mvt",    "jacobi-2d", "seidel-2d"};
@@ -140,27 +130,26 @@ void dispatch_ablation(bench::JsonReporter& json, bool smoke) {
         kernel.build(n), InstrumentOptions{PassKind::LoopBased, {}});
 
     std::printf("%-14s", kernel.name.c_str());
-    double flat_goto_ns = 0, bc_goto_ns = 0;
-    for (const Backend& b : kBackends) {
+    double fused_ns = 0, nofuse_ns = 0;
+    for (const Lowering& l : kLowerings) {
       interp::CompiledModule::CompileOptions copts;
-      copts.lower.fuse = b.fuse;
+      copts.lower.fuse = l.fuse;
       interp::CompiledModulePtr compiled =
           interp::compile(instrumented.module, copts);
       uint64_t instructions = 0;
-      double ns = time_backend(compiled, b.mode, reps, &instructions);
-      if (b.mode == interp::DispatchMode::Threaded) flat_goto_ns = ns;
-      if (b.mode == interp::DispatchMode::Bytecode && b.fuse) bc_goto_ns = ns;
+      double ns = time_lowering(compiled, reps, &instructions);
+      (l.fuse ? fused_ns : nofuse_ns) = ns;
       std::printf("%11.2f", ns / 1e6);
-      json.record(kernel.name + "/" + b.label, reps, ns,
+      json.record(kernel.name + "/" + l.label, reps, ns,
                   ns > 0 ? static_cast<double>(instructions) * 1e9 / ns : 0);
     }
-    double gain = flat_goto_ns / bc_goto_ns;
+    double gain = nofuse_ns / fused_ns;
     std::printf("%10.2fx\n", gain);
     logsum_gain += std::log(gain);
     ++count;
   }
-  std::printf("%s\n", std::string(14 + 11 * 6, '-').c_str());
-  std::printf("geomean bc-goto speedup over flat-goto: %.2fx\n",
+  std::printf("%s\n", std::string(14 + 11 * 3, '-').c_str());
+  std::printf("geomean fusion speedup (bc-goto over bc-nofuse): %.2fx\n",
               std::exp(logsum_gain / count));
 }
 
@@ -318,7 +307,7 @@ bool flag(int argc, char** argv, const char* name) {
 
 // Usage: ablation_optimisations [--smoke] [--json <path>] [--opt [--check]]
 //   --smoke        shrink problem sizes/reps to a CI smoke-test scale
-//   --json <path>  machine-readable dispatch records (BENCH_fig6_dispatch,
+//   --json <path>  machine-readable fusion records (BENCH_fig6_dispatch,
 //                  or BENCH_fig6_opt when --opt is given)
 //   --opt          run the verified middle-end ablation instead (§19)
 //   --check        with --opt: fail unless the Lmax geomean speedup ≥ 1.10x
@@ -349,6 +338,6 @@ int main(int argc, char** argv) {
               measure(uc.build(), {interp::TypedValue::make_i32(4)}));
   }
 
-  dispatch_ablation(json, smoke);
+  fusion_ablation(json, smoke);
   return json.write() ? 0 : 1;
 }

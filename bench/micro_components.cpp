@@ -34,23 +34,15 @@ void BM_InterpreterDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_InterpreterDispatch)->Arg(0)->Arg(1);
 
-// Dispatch backend x accounting granularity: the hot-loop matrix behind the
-// block-batching work. Arg(0) selects the dispatch backend (0 = switch,
-// 1 = computed-goto), Arg(1) the accounting mode (0 = block-batched,
-// 1 = per-instruction oracle). Cache model off so the loop itself dominates.
+// Accounting granularity: the hot-loop cost behind the block-batching work.
+// Arg(0) selects the accounting mode (0 = block-batched, 1 = per-instruction
+// serial accounting). Cache model off so the loop itself dominates.
 void BM_DispatchAccountingMatrix(benchmark::State& state) {
-  const bool threaded = state.range(0) != 0;
-  if (threaded && !interp::Instance::threaded_dispatch_available()) {
-    state.SkipWithError("threaded dispatch not compiled in");
-    return;
-  }
   interp::CompiledModulePtr compiled =
       interp::compile(workloads::build_polybench("gemm", 32));
   interp::Instance::Options opts;
   opts.cache_model = false;
-  opts.dispatch =
-      threaded ? interp::DispatchMode::Threaded : interp::DispatchMode::Switch;
-  opts.per_instruction_accounting = state.range(1) != 0;
+  opts.per_instruction_accounting = state.range(0) != 0;
   uint64_t instructions = 0;
   for (auto _ : state) {
     interp::Instance inst(compiled, {}, opts);
@@ -60,12 +52,7 @@ void BM_DispatchAccountingMatrix(benchmark::State& state) {
   state.counters["instr/s"] = benchmark::Counter(
       static_cast<double>(instructions), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_DispatchAccountingMatrix)
-    ->ArgNames({"threaded", "per_instr"})
-    ->Args({0, 0})
-    ->Args({0, 1})
-    ->Args({1, 0})
-    ->Args({1, 1});
+BENCHMARK(BM_DispatchAccountingMatrix)->ArgName("per_instr")->Arg(0)->Arg(1);
 
 // --- Prepare vs instantiate: the amortisation the CompiledModule pipeline
 // buys. Cold = decode/flatten the module for every request (the pre-refactor

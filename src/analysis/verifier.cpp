@@ -186,10 +186,6 @@ std::optional<std::string> check_lowering(
     const std::vector<FlatFunc>& flat,
     const std::vector<interp::BcFunc>& lowered,
     const interp::LowerOptions& options, const crypto::Digest& digest) {
-  if (!options.enable) {
-    return std::string(
-        "lowering is disabled for this module; nothing to bind");
-  }
   // Independent re-derivation: lowering is a pure function of the verified
   // flattened code and the options, so the only accepted lowered form is
   // the one this process computes itself.
@@ -231,11 +227,6 @@ std::optional<std::string> check_lowering(
 
 std::optional<std::string> check_lowering(
     const interp::CompiledModule& compiled) {
-  if (!compiled.has_lowering()) {
-    return std::string(
-        "module was compiled without the lowering stage; the bytecode "
-        "binding cannot be verified");
-  }
   return check_lowering(compiled.flat(), compiled.lowered(),
                         compiled.lower_options(), compiled.lowering_digest());
 }

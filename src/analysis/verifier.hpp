@@ -108,9 +108,7 @@ std::optional<std::string> check_lowering(
     const std::vector<interp::BcFunc>& lowered,
     const interp::LowerOptions& options, const crypto::Digest& digest);
 
-/// Convenience overload over a compiled module's own lowering. A module
-/// compiled without lowering fails the check (the AE requires the bound
-/// form so backend selection can never outrun verification).
+/// Convenience overload over a compiled module's own lowering.
 std::optional<std::string> check_lowering(
     const interp::CompiledModule& compiled);
 

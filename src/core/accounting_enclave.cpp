@@ -337,7 +337,7 @@ AccountingEnclave::Outcome AccountingEnclave::run_prepared(
   // (including the trap path — detach happens past the catch). Purely an
   // observer; see the neutrality invariant in interp/shadow_meter.hpp.
   std::optional<interp::ShadowMeter> meter;
-  if (config_.shadow_meter && interp::Instance::shadow_meter_available()) {
+  if (config_.shadow_meter) {
     meter.emplace(config_.shadow_meter_config);
     instance.set_shadow_meter(&*meter);
   }

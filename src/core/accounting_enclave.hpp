@@ -43,12 +43,10 @@ class AccountingEnclave {
     interp::Platform platform = interp::Platform::WasmSgxHw;
     /// Resource limit: abort workloads beyond this many instructions.
     uint64_t max_instructions = UINT64_MAX;
-    /// Interpreter dispatch backend for workload executions. Every backend
-    /// is observationally identical (bit-identical ExecStats, checkpoints
-    /// and signed logs — tests/bytecode_test.cpp); Auto prefers the lowered
-    /// bytecode backend when compiled in. The lowered form itself is only
-    /// ever executed after check_lowering binds it to the verified
-    /// flattened code (verify-then-bind, DESIGN.md §15).
+    /// Vestigial: copied into Instance::Options::dispatch, which nothing
+    /// reads (the interpreter has one execution technique). The lowered
+    /// form it executes is only ever run after check_lowering binds it to
+    /// the verified flattened code (verify-then-bind, DESIGN.md §15).
     interp::DispatchMode dispatch = interp::DispatchMode::Auto;
     /// Statically re-prove the instrumentation inside the AE before the
     /// first execution of a module (analysis/verifier.hpp): counter-flow

@@ -3,7 +3,7 @@
 #include "analysis/opt/opt.hpp"
 #include "analysis/verifier.hpp"
 #include "crypto/hmac.hpp"
-#include "interp/compiled_module.hpp"
+#include "interp/flatten.hpp"
 #include "wasm/binary.hpp"
 #include "wasm/validator.hpp"
 
@@ -72,17 +72,19 @@ InstrumentationEnclave::Output InstrumentationEnclave::instrument_binary(
     // per-pass trail. The AE re-derives the same trail deterministically
     // from the instrumented binary and rejects any divergence, so a
     // compromised IE cannot smuggle an under-counting transform through
-    // the claims.
-    interp::CompiledModule::CompileOptions copts;
-    copts.validate = false;  // result.module was built from validated input
-    copts.lower.enable = false;
-    interp::CompiledModule compiled(result.module, copts);
+    // the claims. The pipeline reads only the flat form, so the module is
+    // flattened, not compiled: the IE does no lowering work.
+    std::vector<interp::FlatFunc> flat;
+    flat.reserve(result.module.functions.size());
+    for (const wasm::Function& func : result.module.functions) {
+      flat.push_back(interp::flatten(result.module, func));
+    }
     const instrument::HostChargePolicy instr_charge =
-        instrument::HostChargePolicy::for_module(compiled.module(),
+        instrument::HostChargePolicy::for_module(result.module,
                                                  options_.host_call_weight);
     analysis::opt::PipelineResult pr = analysis::opt::run_pipeline(
-        compiled.module(), compiled.flat(), result.counter_global,
-        options_.opt_level, options_.weights, instr_charge);
+        result.module, flat, result.counter_global, options_.opt_level,
+        options_.weights, instr_charge);
     out.evidence.opt_level = pr.trail.opt_level;
     for (const analysis::opt::PassReport& report : pr.trail.passes) {
       out.evidence.opt_passes.push_back(

@@ -15,11 +15,8 @@ CompiledModule::CompiledModule(wasm::Module module, CompileOptions options)
     flat_.push_back(flatten(module_, func));
   }
   lower_options_ = options.lower;
-  if (options.lower.enable) {
-    lowered_ = lower_module(flat_, options.lower);
-    lowering_digest_ = interp::lowering_digest(flat_, lowered_, options.lower);
-    has_lowering_ = true;
-  }
+  lowered_ = lower_module(flat_, options.lower);
+  lowering_digest_ = interp::lowering_digest(flat_, lowered_, options.lower);
 }
 
 CompiledModule::CompiledModule(wasm::Module module,
@@ -32,11 +29,8 @@ CompiledModule::CompiledModule(wasm::Module module,
       validated_(validated),
       optimised_(true) {
   lower_options_ = options.lower;
-  if (options.lower.enable) {
-    lowered_ = lower_module(flat_, options.lower);
-    lowering_digest_ = interp::lowering_digest(flat_, lowered_, options.lower);
-    has_lowering_ = true;
-  }
+  lowered_ = lower_module(flat_, options.lower);
+  lowering_digest_ = interp::lowering_digest(flat_, lowered_, options.lower);
 }
 
 CompiledModulePtr compile(wasm::Module module,

@@ -3,8 +3,9 @@
 // across many invocations).
 //
 // A CompiledModule is the immutable artifact of the parse → validate →
-// flatten pipeline: the structured AST plus every defined function compiled
-// to the interpreter's flat executable form. It is produced once per module
+// flatten → lower pipeline: the structured AST plus every defined function
+// in its flat form (what accounting and the §14 proof read) and its lowered
+// bytecode (what the interpreter executes). It is produced once per module
 // (per deployment, not per request) and shared between any number of
 // concurrently running Instances via std::shared_ptr<const CompiledModule>.
 // Instances borrow it read-only and own only their mutable state (operand
@@ -28,15 +29,14 @@ class CompiledModule {
     /// defaults to true; the legacy Instance by-value constructor compiles
     /// with false to preserve its historical "caller validates" contract.
     bool validate = true;
-    /// Lowering stage (flatten → bytecode, DESIGN.md §15). Enabled by
-    /// default in every build — the lowering digest is part of the AE's
-    /// verify-then-bind check even when the bytecode execution backends are
-    /// not compiled in (CMake ACCTEE_BYTECODE).
+    /// Lowering stage (flatten → bytecode, DESIGN.md §15). The lowering
+    /// digest is part of the AE's verify-then-bind check.
     LowerOptions lower;
   };
 
-  /// Flattens (and by default validates) `module`. Throws ValidationError if
-  /// validation is requested and fails. Prefer the free compile() helpers.
+  /// Flattens and lowers (and by default validates) `module`. Throws
+  /// ValidationError if validation is requested and fails. Prefer the free
+  /// compile() helpers.
   CompiledModule(wasm::Module module, CompileOptions options);
 
   /// Builds the artifact from an externally transformed flat form — the
@@ -62,10 +62,7 @@ class CompiledModule {
   /// exact module before flattening.
   bool validated() const { return validated_; }
 
-  /// True iff the lowering stage ran (CompileOptions::lower.enable).
-  bool has_lowering() const { return has_lowering_; }
-  /// Lowered (bytecode) function bodies, parallel to flat(). Empty when
-  /// has_lowering() is false.
+  /// Lowered (bytecode) function bodies, parallel to flat().
   const std::vector<BcFunc>& lowered() const { return lowered_; }
   const BcFunc& lowered_func(uint32_t defined_index) const {
     return lowered_[defined_index];
@@ -79,7 +76,7 @@ class CompiledModule {
   /// The options the lowering ran with (needed to re-derive it).
   const LowerOptions& lower_options() const { return lower_options_; }
   /// Canonical digest binding the lowered form to the flattened form
-  /// (interp::lowering_digest). Zero when has_lowering() is false.
+  /// (interp::lowering_digest).
   const crypto::Digest& lowering_digest() const { return lowering_digest_; }
 
  private:
@@ -90,7 +87,6 @@ class CompiledModule {
   LowerOptions lower_options_;
   crypto::Digest lowering_digest_{};
   bool validated_ = false;
-  bool has_lowering_ = false;
   bool optimised_ = false;
 };
 

@@ -5,10 +5,12 @@
 #include <limits>
 #include <type_traits>
 
+#include "interp/shadow_meter.hpp"
 #include "obs/profile.hpp"
 
-#if ACCTEE_HAS_SHADOW_METER
-#include "interp/shadow_meter.hpp"
+// run_loop.inc dispatches by computed goto (GNU labels as values).
+#if !defined(__GNUC__)
+#error "the interpreter's run loop needs GCC or Clang (computed goto)"
 #endif
 
 namespace acctee::interp {
@@ -178,11 +180,9 @@ void Instance::reset() {
 
 void Instance::set_shadow_meter(ShadowMeter* meter) {
   meter_ = meter;
-#if ACCTEE_HAS_SHADOW_METER
   if (meter_ != nullptr && memory_ != nullptr) {
     meter_->on_memory_size(memory_->size_bytes());
   }
-#endif
 }
 
 Values Instance::invoke(std::string_view export_name, const Values& args) {
@@ -277,12 +277,10 @@ void Instance::call_host(uint32_t import_index) {
   HostContext ctx{memory_.get(), &stats_};
   ++stats_.host_calls;
   stats_.cycles += cost_.host_call_cycles;
-#if ACCTEE_HAS_SHADOW_METER
   if (meter_ != nullptr) {
     ctx.meter = meter_;
     meter_->on_host_call(cost_.host_call_cycles);
   }
-#endif
   Values results = entry->func(args, ctx);
   if (results.size() != type.results.size()) {
     throw LinkError("host function returned wrong result count for " +
@@ -310,11 +308,9 @@ void Instance::do_branch(Frame& frame, uint32_t target_pc, uint32_t unwind,
 
 void Instance::charge_memory(uint64_t effective_addr, uint32_t size,
                              bool is_write) {
-#if ACCTEE_HAS_SHADOW_METER
   // Shadow replay through the meter's private hierarchy — independent of
   // (and unaffected by) the billed cache model below.
   if (meter_ != nullptr) meter_->on_memory_access(effective_addr, size, is_write);
-#endif
   stats_.cycles += cost_.bounds_check_cycles;
   if (!options_.cache_model) return;
   cachesim::AccessResult res = cache_.access(effective_addr, size, is_write);
@@ -347,11 +343,9 @@ void Instance::note_memory_growth() {
   stats_.memory_integral += (stats_.instructions - integral_mark_) * size;
   integral_mark_ = stats_.instructions;
   if (size > stats_.peak_memory_bytes) stats_.peak_memory_bytes = size;
-#if ACCTEE_HAS_SHADOW_METER
   // run_loop.inc calls this on both sides of memory.grow, so size deltas
   // between consecutive observations are exactly the grow churn.
   if (meter_ != nullptr) meter_->on_memory_size(size);
-#endif
 }
 
 void Instance::set_checkpoint(uint64_t interval, CheckpointHandler handler) {
@@ -377,22 +371,20 @@ void Instance::account_instruction(const FlatOp& op) {
 // to per-instruction accounting (where the trapping instruction is the last
 // one counted). Cold path: runs only when a trap unwinds out of run().
 //
-// The suffix walk always runs over the flattened code (the authoritative
-// accounting representation). When the trapping loop was a bytecode backend,
-// fr.pc indexes the lowered stream: the first never-executed flat pc is the
-// current bytecode instruction's flat_end — exact even for fused
-// instructions, because superinstructions fuse only non-trapping
-// constituents (bytecode.def), so the trapping instruction is always the
-// sole constituent of its bytecode slot.
-void Instance::uncharge_block_suffix(bool bytecode) noexcept {
+// The suffix walk runs over the flattened code (the authoritative
+// accounting representation), while fr.pc indexes the lowered stream: the
+// first never-executed flat pc is the current bytecode instruction's
+// flat_end — exact even for fused instructions, because superinstructions
+// fuse only non-trapping constituents (bytecode.def), so the trapping
+// instruction is always the sole constituent of its bytecode slot.
+void Instance::uncharge_block_suffix() noexcept {
   if (!block_charged_) return;
   block_charged_ = false;
   if (frames_.empty()) return;
   const Frame& fr = frames_.back();
   const FlatFunc& ff = flat()[fr.func];
-  const uint32_t from =
-      bytecode ? lowered()[fr.func].code[fr.pc].flat_end : fr.pc + 1;
-  for (uint32_t p = from; p < charged_end_pc_; ++p) {
+  for (uint32_t p = lowered()[fr.func].code[fr.pc].flat_end;
+       p < charged_end_pc_; ++p) {
     const FlatOp& o = ff.code[p];
     if (o.synthetic) continue;
     --stats_.instructions;
@@ -402,150 +394,29 @@ void Instance::uncharge_block_suffix(bool bytecode) noexcept {
 }
 
 void Instance::run(size_t stop_depth) {
-  const DispatchMode mode = options_.dispatch;
-  const bool profiled = options_.profiler != nullptr;
-  // Backend selection with graceful fallback: bytecode requires both the
-  // compiled-in backend and a lowered module; threaded requires the
-  // compiled-in computed-goto loops. Auto prefers bytecode-goto, then
-  // flattened-goto, then switch. Every backend is observationally
-  // identical — selection can never change ExecStats.
-#if ACCTEE_HAS_BYTECODE
-  const bool use_bytecode =
-      compiled_->has_lowering() &&
-      (mode == DispatchMode::Auto || mode == DispatchMode::Bytecode ||
-       mode == DispatchMode::BytecodeSwitch);
-#else
-  const bool use_bytecode = false;
-#endif
-#if ACCTEE_HAS_THREADED_DISPATCH
-  const bool threaded =
-      mode != DispatchMode::Switch && mode != DispatchMode::BytecodeSwitch;
-#else
-  const bool threaded = false;
-#endif
   try {
-#if ACCTEE_HAS_BYTECODE
-    if (use_bytecode) {
-#if ACCTEE_HAS_THREADED_DISPATCH
-      if (threaded) {
-        profiled ? run_bc_threaded_profiled(stop_depth)
-                 : run_bc_threaded(stop_depth);
-      } else {
-        profiled ? run_bc_switch_profiled(stop_depth)
-                 : run_bc_switch(stop_depth);
-      }
-#else
-      profiled ? run_bc_switch_profiled(stop_depth)
-               : run_bc_switch(stop_depth);
-#endif
-    } else
-#endif
-#if ACCTEE_HAS_THREADED_DISPATCH
-        if (threaded) {
-      profiled ? run_threaded_profiled(stop_depth) : run_threaded(stop_depth);
+    if (options_.profiler != nullptr) {
+      run_loop_profiled(stop_depth);
     } else {
-      profiled ? run_switch_profiled(stop_depth) : run_switch(stop_depth);
+      run_loop(stop_depth);
     }
-#else
-    {
-      (void)threaded;
-      profiled ? run_switch_profiled(stop_depth) : run_switch(stop_depth);
-    }
-#endif
   } catch (...) {
-    uncharge_block_suffix(use_bytecode);
+    uncharge_block_suffix();
     throw;
   }
   block_charged_ = false;
 }
 
-// run_loop.inc instantiations: (code representation × dispatch technique ×
-// profiling). All are observationally identical; see run_loop.inc.
-
-void Instance::run_switch(size_t stop_depth) {
-#define ACCTEE_BC 0
-#define ACCTEE_THREADED 0
+void Instance::run_loop(size_t stop_depth) {
 #define ACCTEE_PROFILE 0
 #include "interp/run_loop.inc"
 #undef ACCTEE_PROFILE
-#undef ACCTEE_THREADED
-#undef ACCTEE_BC
 }
 
-void Instance::run_switch_profiled(size_t stop_depth) {
-#define ACCTEE_BC 0
-#define ACCTEE_THREADED 0
+void Instance::run_loop_profiled(size_t stop_depth) {
 #define ACCTEE_PROFILE 1
 #include "interp/run_loop.inc"
 #undef ACCTEE_PROFILE
-#undef ACCTEE_THREADED
-#undef ACCTEE_BC
 }
-
-#if ACCTEE_HAS_THREADED_DISPATCH
-void Instance::run_threaded(size_t stop_depth) {
-#define ACCTEE_BC 0
-#define ACCTEE_THREADED 1
-#define ACCTEE_PROFILE 0
-#include "interp/run_loop.inc"
-#undef ACCTEE_PROFILE
-#undef ACCTEE_THREADED
-#undef ACCTEE_BC
-}
-
-void Instance::run_threaded_profiled(size_t stop_depth) {
-#define ACCTEE_BC 0
-#define ACCTEE_THREADED 1
-#define ACCTEE_PROFILE 1
-#include "interp/run_loop.inc"
-#undef ACCTEE_PROFILE
-#undef ACCTEE_THREADED
-#undef ACCTEE_BC
-}
-#endif
-
-#if ACCTEE_HAS_BYTECODE
-void Instance::run_bc_switch(size_t stop_depth) {
-#define ACCTEE_BC 1
-#define ACCTEE_THREADED 0
-#define ACCTEE_PROFILE 0
-#include "interp/run_loop.inc"
-#undef ACCTEE_PROFILE
-#undef ACCTEE_THREADED
-#undef ACCTEE_BC
-}
-
-void Instance::run_bc_switch_profiled(size_t stop_depth) {
-#define ACCTEE_BC 1
-#define ACCTEE_THREADED 0
-#define ACCTEE_PROFILE 1
-#include "interp/run_loop.inc"
-#undef ACCTEE_PROFILE
-#undef ACCTEE_THREADED
-#undef ACCTEE_BC
-}
-
-#if ACCTEE_HAS_THREADED_DISPATCH
-void Instance::run_bc_threaded(size_t stop_depth) {
-#define ACCTEE_BC 1
-#define ACCTEE_THREADED 1
-#define ACCTEE_PROFILE 0
-#include "interp/run_loop.inc"
-#undef ACCTEE_PROFILE
-#undef ACCTEE_THREADED
-#undef ACCTEE_BC
-}
-
-void Instance::run_bc_threaded_profiled(size_t stop_depth) {
-#define ACCTEE_BC 1
-#define ACCTEE_THREADED 1
-#define ACCTEE_PROFILE 1
-#include "interp/run_loop.inc"
-#undef ACCTEE_PROFILE
-#undef ACCTEE_THREADED
-#undef ACCTEE_BC
-}
-#endif
-#endif  // ACCTEE_HAS_BYTECODE
 
 }  // namespace acctee::interp

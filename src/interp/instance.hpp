@@ -1,8 +1,8 @@
 // A Wasm module instance: the execution half of AccTEE's two-way sandbox.
 //
 // Instantiation validates nothing by itself — callers must run the validator
-// first (the accounting enclave in src/core always does). Execution is a
-// flat-code interpreter with:
+// first (the accounting enclave in src/core always does). Execution runs the
+// lowered bytecode (interp/bytecode.hpp) with computed-goto dispatch, with:
 //   * full MVP numeric/trap semantics,
 //   * bounds-checked linear memory (SFI),
 //   * a deterministic simulated-cycle cost model (interp/cost.hpp) with a
@@ -23,38 +23,6 @@
 #include "interp/value.hpp"
 #include "wasm/ast.hpp"
 
-// The computed-goto backend relies on GNU label-as-value extensions; it is
-// compiled only when the toolchain supports it AND the build enables it
-// (CMake option ACCTEE_THREADED_DISPATCH, ON by default). The portable
-// switch backend is always compiled.
-#if defined(ACCTEE_ENABLE_THREADED_DISPATCH) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define ACCTEE_HAS_THREADED_DISPATCH 1
-#else
-#define ACCTEE_HAS_THREADED_DISPATCH 0
-#endif
-
-// The internal-bytecode execution backend (run_loop.inc over the lowered
-// superinstruction stream, DESIGN.md §15) is compiled when the build
-// enables it (CMake option ACCTEE_BYTECODE, ON by default). Its
-// computed-goto variant additionally requires ACCTEE_HAS_THREADED_DISPATCH.
-#if defined(ACCTEE_ENABLE_BYTECODE)
-#define ACCTEE_HAS_BYTECODE 1
-#else
-#define ACCTEE_HAS_BYTECODE 0
-#endif
-
-// The shadow resource meter hooks (interp/shadow_meter.hpp) are compiled
-// when the build enables them (CMake option ACCTEE_SHADOW_METER, ON by
-// default). With the hooks compiled out the interpreter contains no meter
-// code at all — the basis of the billing-neutrality gate (bit-identical
-// ExecStats/ledgers across compiled-out, detached and attached).
-#if defined(ACCTEE_ENABLE_SHADOW_METER)
-#define ACCTEE_HAS_SHADOW_METER 1
-#else
-#define ACCTEE_HAS_SHADOW_METER 0
-#endif
-
 namespace acctee::obs {
 class FuncProfiler;
 }  // namespace acctee::obs
@@ -63,16 +31,11 @@ namespace acctee::interp {
 
 class ShadowMeter;
 
-/// Interpreter dispatch backend selection. All backends produce
-/// bit-identical ExecStats, checkpoints and signed logs; this only selects
-/// the execution technique.
+/// Vestigial: the interpreter has one execution technique (lowered
+/// bytecode, computed-goto dispatch), so Auto is the only value and nothing
+/// reads it. Kept so existing callers that copy a dispatch setting compile.
 enum class DispatchMode : uint8_t {
-  Auto,      // bytecode when compiled in, else threaded, else switch
-  Switch,    // flattened code, portable switch dispatch (reference backend)
-  Threaded,  // flattened code, computed-goto dispatch (falls back to Switch)
-  Bytecode,  // lowered bytecode, computed-goto dispatch (falls back down
-             // the chain: bytecode-switch, then the flattened backends)
-  BytecodeSwitch,  // lowered bytecode, switch dispatch (falls back to Switch)
+  Auto,
 };
 
 class Instance {
@@ -91,14 +54,11 @@ class Instance {
     uint64_t max_instructions = UINT64_MAX;
     /// Maximum call depth.
     uint32_t max_call_depth = 10000;
-    /// Dispatch backend for the hot loop. Every backend produces
-    /// bit-identical ExecStats; this only selects the execution technique.
-    /// Auto prefers the bytecode backend when compiled in (ACCTEE_BYTECODE)
-    /// and the module was lowered, then computed-goto, then switch.
+    /// Vestigial (see DispatchMode); nothing reads it.
     DispatchMode dispatch = DispatchMode::Auto;
     /// Charge accounting one instruction at a time instead of one basic
-    /// block at a time. Slower; kept as the determinism oracle the batched
-    /// path is tested against (and as a debugging aid).
+    /// block at a time. Slower; with LowerOptions::fuse off it is the oracle
+    /// mode the batched charge is tested against (and a debugging aid).
     bool per_instruction_accounting = false;
     /// Optional per-function attribution sink (obs/profile.hpp). Non-null
     /// selects the *profiled* run-loop instantiation, which calls
@@ -107,24 +67,6 @@ class Instance {
     /// work, not even a branch. Profiling never alters ExecStats.
     obs::FuncProfiler* profiler = nullptr;
   };
-
-  /// True iff the computed-goto backend was compiled into this binary.
-  static constexpr bool threaded_dispatch_available() {
-    return ACCTEE_HAS_THREADED_DISPATCH != 0;
-  }
-
-  /// True iff the bytecode execution backend was compiled into this binary
-  /// (lowering itself always runs; see CompiledModule::has_lowering()).
-  static constexpr bool bytecode_available() {
-    return ACCTEE_HAS_BYTECODE != 0;
-  }
-
-  /// True iff the shadow-meter hooks were compiled into this binary
-  /// (CMake option ACCTEE_SHADOW_METER). With the hooks compiled out,
-  /// set_shadow_meter() is accepted but the meter observes nothing.
-  static constexpr bool shadow_meter_available() {
-    return ACCTEE_HAS_SHADOW_METER != 0;
-  }
 
   /// Attaches (or, with nullptr, detaches) an untrusted shadow resource
   /// meter. The meter is an observer: hooks in the host-call, memory-access
@@ -202,25 +144,10 @@ class Instance {
   };
 
   void run(size_t stop_depth);
-  // Dispatch backends: identical semantics, different dispatch technique
-  // and/or code representation. The shared body lives in
-  // interp/run_loop.inc, instantiated per (code representation × dispatch
-  // technique × profiling) so the unprofiled loops carry no profiling code
-  // at all and the flattened loops carry no bytecode code at all.
-  void run_switch(size_t stop_depth);
-  void run_switch_profiled(size_t stop_depth);
-#if ACCTEE_HAS_THREADED_DISPATCH
-  void run_threaded(size_t stop_depth);
-  void run_threaded_profiled(size_t stop_depth);
-#endif
-#if ACCTEE_HAS_BYTECODE
-  void run_bc_switch(size_t stop_depth);
-  void run_bc_switch_profiled(size_t stop_depth);
-#if ACCTEE_HAS_THREADED_DISPATCH
-  void run_bc_threaded(size_t stop_depth);
-  void run_bc_threaded_profiled(size_t stop_depth);
-#endif
-#endif
+  // The two instantiations of interp/run_loop.inc: the unprofiled loop
+  // carries no profiling code at all.
+  void run_loop(size_t stop_depth);
+  void run_loop_profiled(size_t stop_depth);
   void enter_frame(uint32_t defined_index);
   void call_host(uint32_t import_index);
   void do_branch(Frame& frame, uint32_t target_pc, uint32_t unwind,
@@ -239,11 +166,10 @@ class Instance {
   }
   // Trap un-charge: removes the pre-charged, never-executed suffix of the
   // current block so a mid-block trap observes exactly the serial stats.
-  // `bytecode` says which representation fr.pc indexes: the bytecode
-  // backends derive the first never-executed flat pc from the current
-  // instruction's flat_end (fusions only trap in their last constituent —
-  // the non-trapping-constituents rule in bytecode.def).
-  void uncharge_block_suffix(bool bytecode) noexcept;
+  // The first never-executed flat pc is the current bytecode instruction's
+  // flat_end (fusions only trap in their last constituent — the
+  // non-trapping-constituents rule in bytecode.def).
+  void uncharge_block_suffix() noexcept;
 
   // -- operand stack helpers --
   void push_raw(uint64_t v) { stack_.push_back(v); }

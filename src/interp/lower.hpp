@@ -18,12 +18,9 @@
 namespace acctee::interp {
 
 struct LowerOptions {
-  /// Produce lowered code at compile() time. Off: the compiled module
-  /// carries no bytecode and bytecode dispatch modes fall back to the
-  /// flattened backends.
-  bool enable = true;
   /// Fuse superinstructions (bytecode.def). Off: 1:1 lowering plus
-  /// EnterBlock only — the ablation baseline for the fusion win.
+  /// EnterBlock only — the ablation baseline for the fusion win, and with
+  /// Instance::Options::per_instruction_accounting the oracle mode.
   bool fuse = true;
 
   friend bool operator==(const LowerOptions&, const LowerOptions&) = default;

@@ -13,9 +13,9 @@
 //
 // Billing neutrality is a hard invariant: a meter hook may read the
 // interpreter's state but writes only the meter. ExecStats, checkpoints and
-// serialized ledger bytes are bit-identical with the meter compiled out
-// (CMake -DACCTEE_SHADOW_METER=OFF), compiled in but detached, and attached
-// (tested in tests/gap_test.cpp across all dispatch backends).
+// serialized ledger bytes are bit-identical with the meter detached and
+// attached (tested in tests/gap_test.cpp and gated by
+// gap_adversarial --neutrality).
 #pragma once
 
 #include <cstdint>

@@ -615,7 +615,6 @@ TEST(LoweringMutation, EnumerationIsDeterministicAndCoversAllKinds) {
       workloads::polybench()[0].build(4), PassKind::LoopBased,
       WeightTable::unit());
   interp::CompiledModulePtr compiled = interp::compile(result.module);
-  ASSERT_TRUE(compiled->has_lowering());
 
   auto a = enumerate_lowering_mutations(compiled->lowered());
   auto b = enumerate_lowering_mutations(compiled->lowered());
@@ -650,7 +649,6 @@ TEST(LoweringMutation, ZeroFalseAcceptsAcrossFullCorpus) {
     InstrumentResult result =
         instrument_module(original, PassKind::LoopBased, WeightTable::unit());
     interp::CompiledModulePtr compiled = interp::compile(result.module);
-    ASSERT_TRUE(compiled->has_lowering());
 
     // Control: the genuine lowering binds.
     EXPECT_FALSE(check_lowering(*compiled).has_value());
@@ -692,18 +690,6 @@ TEST(LoweringMutation, ForgedDigestDoesNotLaunderATamperedStream) {
   EXPECT_NE(err->find("differs"), std::string::npos) << *err;
 }
 
-TEST(LoweringMutation, UnloweredModuleCannotBind) {
-  wasm::Module m = parse(kIfElseWat);
-  interp::CompiledModule::CompileOptions copts;
-  copts.lower.enable = false;
-  interp::CompiledModulePtr compiled = interp::compile(m, copts);
-  ASSERT_FALSE(compiled->has_lowering());
-  auto err = check_lowering(*compiled);
-  ASSERT_TRUE(err.has_value());
-  EXPECT_NE(err->find("without the lowering stage"), std::string::npos)
-      << *err;
-}
-
 TEST(AePrepare, RecordsLoweringDigestWithPreparedModule) {
   AeHarness h;
   wasm::Module original = parse(kConstTripWat);
@@ -717,7 +703,6 @@ TEST(AePrepare, RecordsLoweringDigestWithPreparedModule) {
   core::AccountingEnclave ae(h.platform, h.config());
   auto prepared =
       ae.prepare(binary, h.sign_evidence(binary, result.counter_global, digest));
-  EXPECT_TRUE(prepared->compiled->has_lowering());
   EXPECT_EQ(prepared->lowering_digest, prepared->compiled->lowering_digest());
   EXPECT_NE(prepared->lowering_digest, crypto::Digest{})
       << "verified preparation must bind the lowered form";

@@ -1,12 +1,11 @@
 // Determinism oracle for block-batched accounting (DESIGN.md §11).
 //
 // The interpreter charges resource accounting per basic block, with a serial
-// (per-instruction) fallback around checkpoints and the instruction limit,
-// and offers two dispatch backends (portable switch, computed-goto). These
-// tests pin the contract: every (dispatch backend × accounting granularity)
-// combination produces bit-identical ExecStats — including at traps,
-// checkpoints, and in the instrumented counter global that feeds signed
-// resource logs.
+// (per-instruction) fallback around checkpoints and the instruction limit.
+// These tests pin the contract: the batched charge produces ExecStats
+// bit-identical to the oracle mode (per-instruction accounting over unfused
+// lowering) — including at traps, checkpoints, and in the instrumented
+// counter global that feeds signed resource logs.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -26,26 +25,28 @@ namespace {
 
 struct Combo {
   const char* name;
-  DispatchMode dispatch;
-  bool per_instruction;
+  bool fuse;             // superinstruction fusion at lowering time
+  bool per_instruction;  // serial accounting in every block
 };
 
-// All combinations under test. When the computed-goto backend is not
-// compiled in, DispatchMode::Threaded silently falls back to the switch
-// backend, so the matrix stays valid (it just tests less).
+// The oracle ("serial", unfused) goes first, so the batched row is compared
+// against it.
 std::vector<Combo> combos() {
   return {
-      {"switch/batched", DispatchMode::Switch, false},
-      {"switch/serial", DispatchMode::Switch, true},
-      {"threaded/batched", DispatchMode::Threaded, false},
-      {"threaded/serial", DispatchMode::Threaded, true},
+      {"serial", false, true},
+      {"batched", true, false},
   };
+}
+
+CompiledModulePtr compile_for(const wasm::Module& module, const Combo& combo) {
+  CompiledModule::CompileOptions copts;
+  copts.lower.fuse = combo.fuse;
+  return compile(module, copts);
 }
 
 Instance::Options combo_options(const Combo& combo) {
   Instance::Options opts;
   opts.cache_model = false;
-  opts.dispatch = combo.dispatch;
   opts.per_instruction_accounting = combo.per_instruction;
   return opts;
 }
@@ -72,7 +73,7 @@ TEST(BlockAccounting, PolybenchStatsBitIdenticalAcrossCombos) {
     ExecStats reference;
     bool have_reference = false;
     for (const Combo& combo : combos()) {
-      Instance inst(module, {}, combo_options(combo));
+      Instance inst(compile_for(module, combo), {}, combo_options(combo));
       inst.invoke("run");
       EXPECT_TRUE(inst.stats().per_op_conserved())
           << kernel << " " << combo.name;
@@ -93,7 +94,7 @@ TEST(BlockAccounting, PolybenchStatsBitIdenticalAcrossCombos) {
 TEST(BlockAccounting, CheckpointObservesConservedMonotoneStats) {
   wasm::Module module = workloads::build_polybench("mvt", 24);
   for (const Combo& combo : combos()) {
-    Instance inst(module, {}, combo_options(combo));
+    Instance inst(compile_for(module, combo), {}, combo_options(combo));
     uint64_t last_instructions = 0;
     uint64_t last_integral = 0;
     uint64_t fired = 0;
@@ -118,7 +119,7 @@ TEST(BlockAccounting, CheckpointSnapshotsIdenticalAcrossCombos) {
   std::vector<std::pair<uint64_t, uint64_t>> reference;  // (instr, cycles)
   bool have_reference = false;
   for (const Combo& combo : combos()) {
-    Instance inst(module, {}, combo_options(combo));
+    Instance inst(compile_for(module, combo), {}, combo_options(combo));
     std::vector<std::pair<uint64_t, uint64_t>> snapshots;
     // A deliberately awkward interval so crossings land mid-block.
     inst.set_checkpoint(997, [&](Instance& self) {
@@ -161,7 +162,7 @@ TEST(BlockAccounting, InstructionLimitFiresAtSameIndex) {
       opts.max_instructions = limit;
       wasm::Module module = wasm::parse_wat(wat);
       wasm::validate(module);
-      Instance inst(std::move(module), {}, opts);
+      Instance inst(compile_for(module, combo), {}, opts);
       EXPECT_THROW(inst.invoke("f"), TrapError) << combo.name;
       EXPECT_TRUE(inst.stats().per_op_conserved()) << combo.name;
       // Serial semantics: the (limit+1)-th instruction is accounted, then
@@ -196,7 +197,7 @@ TEST(BlockAccounting, MidBlockTrapLeavesSerialStats) {
   for (const Combo& combo : combos()) {
     wasm::Module module = wasm::parse_wat(wat);
     wasm::validate(module);
-    Instance inst(std::move(module), {}, combo_options(combo));
+    Instance inst(compile_for(module, combo), {}, combo_options(combo));
     EXPECT_THROW(inst.invoke("f"), TrapError) << combo.name;
     EXPECT_TRUE(inst.stats().per_op_conserved()) << combo.name;
     if (!have_reference) {
@@ -226,7 +227,7 @@ TEST(BlockAccounting, OutOfBoundsTrapLeavesSerialStats) {
   for (const Combo& combo : combos()) {
     wasm::Module module = wasm::parse_wat(wat);
     wasm::validate(module);
-    Instance inst(std::move(module), {}, combo_options(combo));
+    Instance inst(compile_for(module, combo), {}, combo_options(combo));
     EXPECT_THROW(inst.invoke("f"), TrapError) << combo.name;
     EXPECT_TRUE(inst.stats().per_op_conserved()) << combo.name;
     if (!have_reference) {
@@ -243,8 +244,7 @@ TEST(BlockAccounting, OutOfBoundsTrapLeavesSerialStats) {
 // ---------------------------------------------------------------------------
 
 // The instrumented counter global is what the accounting enclave signs;
-// its final value must not depend on dispatch backend or accounting
-// granularity.
+// its final value must not depend on accounting granularity or fusion.
 TEST(BlockAccounting, InstrumentedCounterIdenticalAcrossCombos) {
   auto opts = instrument::InstrumentOptions{instrument::PassKind::LoopBased,
                                             instrument::WeightTable::unit()};
@@ -254,7 +254,7 @@ TEST(BlockAccounting, InstrumentedCounterIdenticalAcrossCombos) {
   int64_t reference = 0;
   bool have_reference = false;
   for (const Combo& combo : combos()) {
-    Instance inst(instrumented, {}, combo_options(combo));
+    Instance inst(compile_for(instrumented, combo), {}, combo_options(combo));
     inst.invoke("run");
     int64_t counter = inst.read_global(instrument::kCounterExport).i64();
     EXPECT_GT(counter, 0) << combo.name;
@@ -273,8 +273,8 @@ TEST(BlockAccounting, InstrumentedCounterIdenticalAcrossCombos) {
 
 // Attaching a profiler and enabling the tracer must leave ExecStats, the
 // checkpoint snapshots, and the instrumented counter bit-identical in every
-// (dispatch × accounting) combination: the profiled run loop only *reads*
-// block costs, and spans never open inside the interpreter loop.
+// combination: the profiled run loop only *reads* block costs, and spans
+// never open inside the interpreter loop.
 TEST(BlockAccounting, ProfilingAndTracingLeaveStatsIdentical) {
   auto opts = instrument::InstrumentOptions{instrument::PassKind::LoopBased,
                                             instrument::WeightTable::unit()};
@@ -288,7 +288,7 @@ TEST(BlockAccounting, ProfilingAndTracingLeaveStatsIdentical) {
                         std::vector<std::pair<uint64_t, uint64_t>>* snaps) {
       Instance::Options options = combo_options(combo);
       options.profiler = profiler;
-      Instance inst(instrumented, {}, options);
+      Instance inst(compile_for(instrumented, combo), {}, options);
       inst.set_checkpoint(997, [&](Instance& self) {
         snaps->emplace_back(self.stats().instructions, self.stats().cycles);
       });
@@ -367,8 +367,7 @@ TEST(BlockAccounting, SignedLogsByteIdenticalWithObservability) {
   }
 }
 
-// threaded_dispatch_available() reflects the build configuration; Auto
-// resolves to a working backend either way (smoke-checked by running).
+// Default options (DispatchMode::Auto, the only value) run the one loop.
 TEST(BlockAccounting, AutoDispatchRuns) {
   Instance inst = testutil::make_instance(R"((module
     (func (export "f") (result i32) i32.const 41 i32.const 1 i32.add)))");

@@ -1,13 +1,13 @@
 // The three-stage execution pipeline (DESIGN.md §15): lowered internal
 // bytecode with fused accounting superinstructions.
 //
-// Contract under test: every execution backend — flattened switch,
-// flattened computed-goto, bytecode switch, bytecode computed-goto, with
-// superinstruction fusion on or off — produces bit-identical ExecStats,
-// checkpoint snapshots, instrumented counter values and signed resource
-// logs, over real workloads and on every trap path (mid-block traps inside
-// fused regions, instruction-limit exhaustion). Plus the structural
-// invariants of the lowered form and the determinism of the binding digest.
+// Contract under test: the batched, fused execution that ships produces
+// ExecStats, checkpoint snapshots and instrumented counter values
+// bit-identical to the oracle mode (per-instruction accounting over unfused
+// lowering), over real workloads and on every trap path (mid-block traps
+// inside fused regions, instruction-limit exhaustion), and the signed log of
+// a trapped run does not depend on profiling. Plus the structural invariants
+// of the lowered form and the determinism of the binding digest.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -15,6 +15,7 @@
 #include "core/accounting_enclave.hpp"
 #include "core/instrumentation_enclave.hpp"
 #include "instrument/passes.hpp"
+#include "obs/profile.hpp"
 #include "sgx/platform.hpp"
 #include "test_util.hpp"
 #include "wasm/binary.hpp"
@@ -28,25 +29,20 @@ namespace {
 
 struct Backend {
   const char* name;
-  DispatchMode dispatch;
-  bool fuse;              // lowering fusion (bytecode backends only)
-  bool per_instruction;   // serial-accounting oracle
+  bool fuse;              // superinstruction fusion at lowering time
+  bool per_instruction;   // serial accounting in every block
 };
 
-// Every backend × the fusion toggle for the bytecode ones, plus the serial
-// oracle on the representative ends of the matrix. Backends not compiled in
-// (threaded, bytecode) silently fall back down the chain, so the matrix
-// stays valid in every build configuration — it just tests less.
+// The oracle row goes first, so every later row is compared against it:
+// without fusion each bytecode op is one flat op, charged by serial_account
+// before its handler runs, so neither fusion nor the batched EnterBlock
+// charge is on the reference path.
 std::vector<Backend> backends() {
   return {
-      {"flat-switch", DispatchMode::Switch, true, false},
-      {"flat-switch/serial", DispatchMode::Switch, true, true},
-      {"flat-goto", DispatchMode::Threaded, true, false},
-      {"bc-switch", DispatchMode::BytecodeSwitch, true, false},
-      {"bc-goto", DispatchMode::Bytecode, true, false},
-      {"bc-goto/serial", DispatchMode::Bytecode, true, true},
-      {"bc-goto/nofuse", DispatchMode::Bytecode, false, false},
-      {"auto", DispatchMode::Auto, true, false},
+      {"oracle", false, true},
+      {"bc", true, false},
+      {"bc/serial", true, true},
+      {"bc/nofuse", false, false},
   };
 }
 
@@ -59,7 +55,6 @@ CompiledModulePtr compile_for(const wasm::Module& module, const Backend& b) {
 Instance::Options backend_options(const Backend& b) {
   Instance::Options opts;
   opts.cache_model = false;
-  opts.dispatch = b.dispatch;
   opts.per_instruction_accounting = b.per_instruction;
   return opts;
 }
@@ -97,7 +92,6 @@ TEST(Lowering, SuperinstructionsFireOnRealKernels) {
   for (const char* kernel : {"gemm", "atax", "jacobi-2d"}) {
     wasm::Module module = workloads::build_polybench(kernel, 8);
     CompiledModulePtr fused = compile(module, {});
-    ASSERT_TRUE(fused->has_lowering()) << kernel;
     EXPECT_GT(count_superops(fused->lowered()), 0u)
         << kernel << ": fusion found nothing to fuse";
 
@@ -200,7 +194,6 @@ TEST(Bytecode, UsecaseStatsBitIdenticalAcrossBackends) {
     bool have_reference = false;
     Values results_reference;
     for (const Backend& b : backends()) {
-      if (b.per_instruction) continue;  // keep the slow workloads fast
       Instance inst(compile_for(module, b), {}, backend_options(b));
       Values results = inst.invoke("run", {TypedValue::make_i32(usecase.bench_scale)});
       EXPECT_TRUE(inst.stats().per_op_conserved())
@@ -388,61 +381,16 @@ TEST(Bytecode, InstrumentedCounterIdenticalAndIncrementFused) {
   }
 }
 
-// End-to-end: the AE's signed resource logs — interim checkpoints and the
-// final log, signatures included — must be byte-identical across every
-// Config::dispatch backend. This is the billing-equivalence acceptance
-// criterion for the whole pipeline.
-TEST(Bytecode, SignedLogsByteIdenticalAcrossDispatchBackends) {
-  auto opts = instrument::InstrumentOptions{instrument::PassKind::LoopBased,
-                                            instrument::WeightTable::unit()};
-  wasm::Module module = workloads::build_polybench("bicg", 16);
-  Bytes binary = wasm::encode(module);
-
-  auto run_world = [&](DispatchMode dispatch) {
-    sgx::Platform ie_host{"ie-host", to_bytes("ie-seed")};
-    sgx::Platform cloud{"cloud", to_bytes("cloud-seed")};
-    core::InstrumentationEnclave ie(ie_host, opts);
-    core::AccountingEnclave::Config config;
-    config.trusted_ie_identity = ie.identity();
-    config.instrumentation = opts;
-    config.checkpoint_interval = 5000;
-    config.dispatch = dispatch;
-    core::AccountingEnclave ae(cloud, config);
-    auto out = ie.instrument_binary(binary);
-    return ae.execute(out.instrumented_binary, out.evidence, "run", {});
-  };
-
-  core::AccountingEnclave::Outcome reference = run_world(DispatchMode::Switch);
-  ASSERT_FALSE(reference.interim_logs.empty());
-  for (DispatchMode dispatch :
-       {DispatchMode::Threaded, DispatchMode::BytecodeSwitch,
-        DispatchMode::Bytecode, DispatchMode::Auto}) {
-    core::AccountingEnclave::Outcome outcome = run_world(dispatch);
-    EXPECT_EQ(outcome.signed_log.log.serialize(),
-              reference.signed_log.log.serialize());
-    EXPECT_EQ(outcome.signed_log.signature.serialize(),
-              reference.signed_log.signature.serialize());
-    ASSERT_EQ(outcome.interim_logs.size(), reference.interim_logs.size());
-    for (size_t i = 0; i < reference.interim_logs.size(); ++i) {
-      EXPECT_EQ(outcome.interim_logs[i].log.serialize(),
-                reference.interim_logs[i].log.serialize())
-          << "interim " << i;
-      EXPECT_EQ(outcome.interim_logs[i].signature.serialize(),
-                reference.interim_logs[i].signature.serialize())
-          << "interim " << i;
-    }
-  }
-}
-
-// Signed logs on the *trap* path (the workload still owes for what it ran)
-// must also be backend-independent.
-TEST(Bytecode, TrappedSignedLogsByteIdenticalAcrossDispatchBackends) {
+// The signed log of a run stopped by the instruction limit (the workload
+// still owes for what it ran) must not depend on whether the profiled run
+// loop executed it.
+TEST(Bytecode, TrappedSignedLogsByteIdenticalWithProfiler) {
   auto opts = instrument::InstrumentOptions{instrument::PassKind::LoopBased,
                                             instrument::WeightTable::unit()};
   wasm::Module module = workloads::build_polybench("gemm", 12);
   Bytes binary = wasm::encode(module);
 
-  auto run_world = [&](DispatchMode dispatch) {
+  auto run_world = [&](obs::FuncProfiler* profiler) {
     sgx::Platform ie_host{"ie-host", to_bytes("ie-seed")};
     sgx::Platform cloud{"cloud", to_bytes("cloud-seed")};
     core::InstrumentationEnclave ie(ie_host, opts);
@@ -450,41 +398,23 @@ TEST(Bytecode, TrappedSignedLogsByteIdenticalAcrossDispatchBackends) {
     config.trusted_ie_identity = ie.identity();
     config.instrumentation = opts;
     config.max_instructions = 20000;  // exhaust mid-run
-    config.dispatch = dispatch;
+    config.profiler = profiler;
     core::AccountingEnclave ae(cloud, config);
     auto out = ie.instrument_binary(binary);
     return ae.execute(out.instrumented_binary, out.evidence, "run", {});
   };
 
-  core::AccountingEnclave::Outcome reference = run_world(DispatchMode::Switch);
+  core::AccountingEnclave::Outcome reference = run_world(nullptr);
   EXPECT_TRUE(reference.signed_log.log.trapped);
-  for (DispatchMode dispatch :
-       {DispatchMode::BytecodeSwitch, DispatchMode::Bytecode}) {
-    core::AccountingEnclave::Outcome outcome = run_world(dispatch);
-    EXPECT_TRUE(outcome.signed_log.log.trapped);
-    EXPECT_EQ(outcome.signed_log.log.serialize(),
-              reference.signed_log.log.serialize());
-    EXPECT_EQ(outcome.trap_message, reference.trap_message);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Build-configuration fallback
-// ---------------------------------------------------------------------------
-
-TEST(Bytecode, ExplicitBytecodeDispatchRunsInEveryBuild) {
-  // When the bytecode backends are not compiled in, DispatchMode::Bytecode
-  // falls back down the chain; results never change.
-  Instance::Options opts;
-  opts.cache_model = false;
-  opts.dispatch = DispatchMode::Bytecode;
-  wasm::Module module = wasm::parse_wat(R"((module
-    (func (export "f") (result i32) i32.const 41 i32.const 1 i32.add)))");
-  wasm::validate(module);
-  Instance inst(compile(module, {}), {}, opts);
-  EXPECT_EQ(inst.invoke("f").at(0).i32(), 42);
-  EXPECT_TRUE(inst.stats().per_op_conserved());
-  EXPECT_EQ(Instance::bytecode_available(), ACCTEE_HAS_BYTECODE != 0);
+  obs::FuncProfiler profiler;
+  core::AccountingEnclave::Outcome profiled = run_world(&profiler);
+  EXPECT_GT(profiler.total_sampled_instructions(), 0u);
+  EXPECT_TRUE(profiled.signed_log.log.trapped);
+  EXPECT_EQ(profiled.signed_log.log.serialize(),
+            reference.signed_log.log.serialize());
+  EXPECT_EQ(profiled.signed_log.signature.serialize(),
+            reference.signed_log.signature.serialize());
+  EXPECT_EQ(profiled.trap_message, reference.trap_message);
 }
 
 }  // namespace

@@ -3,8 +3,7 @@
 // Three claims are under test:
 //   1. Billing neutrality — attaching the shadow resource meter changes
 //      nothing billable: ExecStats, signed-log bytes, and signatures are
-//      bit-identical with the meter disabled and enabled, on every dispatch
-//      backend.
+//      bit-identical with the meter disabled and enabled.
 //   2. Host-call surcharge soundness — the per-host-call charge policy is
 //      wired through evidence (v3) and re-proved by the AE's static
 //      verifier: matching policies execute, mismatched policies are
@@ -50,21 +49,19 @@ struct Rig {
   core::InstrumentationEnclave ie;
   core::AccountingEnclave ae;
 
-  Rig(const std::string& id, uint64_t host_call_weight, bool meter,
-      interp::DispatchMode dispatch = interp::DispatchMode::Auto)
+  Rig(const std::string& id, uint64_t host_call_weight, bool meter)
       : ie_host(id + "-ie", to_bytes(id + "-ie-seed")),
         cloud(id + "-cloud", to_bytes(id + "-cloud-seed")),
         ie(ie_host, make_options(host_call_weight)),
-        ae(cloud, ae_config(ie, host_call_weight, meter, dispatch)) {}
+        ae(cloud, ae_config(ie, host_call_weight, meter)) {}
 
   static core::AccountingEnclave::Config ae_config(
-      core::InstrumentationEnclave& ie, uint64_t host_call_weight, bool meter,
-      interp::DispatchMode dispatch) {
+      core::InstrumentationEnclave& ie, uint64_t host_call_weight,
+      bool meter) {
     core::AccountingEnclave::Config config;
     config.trusted_ie_identity = ie.identity();
     config.instrumentation = make_options(host_call_weight);
     config.platform = interp::Platform::WasmSgxSim;
-    config.dispatch = dispatch;
     config.shadow_meter = meter;
     return config;
   }
@@ -77,34 +74,22 @@ struct Rig {
   }
 };
 
-bool meter_available() { return interp::Instance::shadow_meter_available(); }
-
 // --- 1. Billing neutrality ---
 
 TEST(GapNeutrality, MeterChangesNoBilledByteOnAnyBackend) {
-  std::vector<interp::DispatchMode> modes = {interp::DispatchMode::Switch,
-                                             interp::DispatchMode::Threaded};
-  if (interp::Instance::bytecode_available()) {
-    modes.push_back(interp::DispatchMode::Bytecode);
-    modes.push_back(interp::DispatchMode::BytecodeSwitch);
-  }
-  std::vector<workloads::AdversarialCase> cases =
-      workloads::adversarial_suite(1);
-  for (interp::DispatchMode mode : modes) {
-    Rig off("neutral", 0, /*meter=*/false, mode);
-    Rig on("neutral", 0, /*meter=*/true, mode);
-    for (const workloads::AdversarialCase& c : cases) {
-      SCOPED_TRACE(c.name + " dispatch=" + std::to_string(int(mode)));
-      auto a = off.run(c.module, c.input);
-      auto b = on.run(c.module, c.input);
-      EXPECT_EQ(a.stats, b.stats);
-      EXPECT_EQ(a.signed_log.log, b.signed_log.log);
-      EXPECT_EQ(a.signed_log.log.serialize(), b.signed_log.log.serialize());
-      EXPECT_EQ(a.signed_log.signature.serialize(),
-                b.signed_log.signature.serialize());
-      EXPECT_FALSE(a.gap.has_value());
-      EXPECT_EQ(b.gap.has_value(), meter_available());
-    }
+  Rig off("neutral", 0, /*meter=*/false);
+  Rig on("neutral", 0, /*meter=*/true);
+  for (const workloads::AdversarialCase& c : workloads::adversarial_suite(1)) {
+    SCOPED_TRACE(c.name);
+    auto a = off.run(c.module, c.input);
+    auto b = on.run(c.module, c.input);
+    EXPECT_EQ(a.stats, b.stats);
+    EXPECT_EQ(a.signed_log.log, b.signed_log.log);
+    EXPECT_EQ(a.signed_log.log.serialize(), b.signed_log.log.serialize());
+    EXPECT_EQ(a.signed_log.signature.serialize(),
+              b.signed_log.signature.serialize());
+    EXPECT_FALSE(a.gap.has_value());
+    EXPECT_TRUE(b.gap.has_value());
   }
 }
 
@@ -116,7 +101,7 @@ TEST(GapNeutrality, CheckpointsIdenticalWithMeterAttached) {
   auto run_with_checkpoints = [&](bool meter) {
     Rig rig("neutral-ckpt", 0, meter);
     core::AccountingEnclave::Config config =
-        Rig::ae_config(rig.ie, 0, meter, interp::DispatchMode::Auto);
+        Rig::ae_config(rig.ie, 0, meter);
     config.checkpoint_interval = 20000;
     core::AccountingEnclave ae(rig.cloud, config);
     auto deployed = rig.ie.instrument_binary(wasm::encode(cases[0].module));
@@ -158,8 +143,8 @@ TEST(HostCharge, MismatchedPolicyRejectedBeforeExecution) {
   // not discovered later as a billing discrepancy.
   {
     Rig ie_side("mismatch-a", 5, false);
-    core::AccountingEnclave::Config config = Rig::ae_config(
-        ie_side.ie, 0, false, interp::DispatchMode::Auto);
+    core::AccountingEnclave::Config config =
+        Rig::ae_config(ie_side.ie, 0, false);
     core::AccountingEnclave strict(ie_side.cloud, config);
     auto deployed = ie_side.ie.instrument_binary(wasm::encode(module));
     EXPECT_THROW(strict.execute(deployed.instrumented_binary,
@@ -168,8 +153,8 @@ TEST(HostCharge, MismatchedPolicyRejectedBeforeExecution) {
   }
   {
     Rig ie_side("mismatch-b", 0, false);
-    core::AccountingEnclave::Config config = Rig::ae_config(
-        ie_side.ie, 9, false, interp::DispatchMode::Auto);
+    core::AccountingEnclave::Config config =
+        Rig::ae_config(ie_side.ie, 9, false);
     core::AccountingEnclave strict(ie_side.cloud, config);
     auto deployed = ie_side.ie.instrument_binary(wasm::encode(module));
     EXPECT_THROW(strict.execute(deployed.instrumented_binary,
@@ -188,7 +173,7 @@ TEST(HostCharge, UnderchargedModuleFailsAEVerifier) {
   core::InstrumentationEvidence forged = deployed.evidence;
   forged.host_call_weight = 9;  // claim matches the AE's policy, code doesn't
   core::AccountingEnclave::Config config =
-      Rig::ae_config(ie_side.ie, 9, false, interp::DispatchMode::Auto);
+      Rig::ae_config(ie_side.ie, 9, false);
   core::AccountingEnclave strict(ie_side.cloud, config);
   EXPECT_THROW(strict.execute(deployed.instrumented_binary, forged, "run", {}),
                AttestationError);
@@ -229,7 +214,6 @@ TEST(HostCharge, MutationCorpusZeroFalseAccepts) {
 // --- 3. Gap surfacing ---
 
 TEST(GapProfile, AdversarialWorkloadsShowTheirDimension) {
-  if (!meter_available()) GTEST_SKIP() << "shadow meter compiled out";
   Rig rig("surface", 0, true);
 
   auto baseline = rig.run(workloads::gap_baseline(20000));
@@ -337,7 +321,6 @@ TEST(Watchdog, CostGapRuleLatchesAndRearms) {
 }
 
 TEST(Gateway, ShadowMeterFeedsPerTenantGapMetrics) {
-  if (!meter_available()) GTEST_SKIP() << "shadow meter compiled out";
   auto options = make_options(0);
   sgx::Platform ie_host{"gw-gap-ie", to_bytes("gw-gap-ie-seed")};
   core::InstrumentationEnclave ie(ie_host, options);

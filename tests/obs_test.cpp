@@ -296,10 +296,10 @@ TEST(Profile, SamplingRecordsEveryNthBlock) {
 }
 
 TEST(Profile, FrameIndicesSurviveLoweringAcrossDispatchBackends) {
-  // Regression for `acctee run --profile` on the bytecode backend: the
-  // lowered EnterBlock handler must report the same defined-function
-  // indices (and per-block charges) as the flattened block_head path, so
-  // the module's own names symbolize profiles on every backend.
+  // Regression for `acctee run --profile` on lowered code: EnterBlock must
+  // report the same defined-function indices (and per-block charges) with
+  // fusion on, with fusion off, and in the oracle mode, so the module's own
+  // names symbolize every profile.
   const char* wat = R"((module
     (func $helper (param i32) (result i32)
       (local $acc i32)
@@ -321,22 +321,25 @@ TEST(Profile, FrameIndicesSurviveLoweringAcrossDispatchBackends) {
   wasm::Module module = wasm::parse_wat(wat);
   wasm::validate(module);
 
-  auto profile_with = [&](interp::DispatchMode mode, FuncProfiler& profiler) {
+  auto profile_with = [&](bool fuse, bool per_instruction,
+                          FuncProfiler& profiler) {
+    interp::CompiledModule::CompileOptions copts;
+    copts.lower.fuse = fuse;
     interp::Instance::Options options;
-    options.dispatch = mode;
+    options.per_instruction_accounting = per_instruction;
     options.profiler = &profiler;
-    interp::Instance inst(module, {}, options);
+    interp::Instance inst(interp::compile(module, copts), {}, options);
     inst.invoke("run", {});
   };
-  FuncProfiler ref(1), bc(1), bc_switch(1);
-  profile_with(interp::DispatchMode::Switch, ref);
-  profile_with(interp::DispatchMode::Bytecode, bc);
-  profile_with(interp::DispatchMode::BytecodeSwitch, bc_switch);
+  FuncProfiler ref(1), bc(1), nofuse(1);
+  profile_with(/*fuse=*/false, /*per_instruction=*/true, ref);  // oracle
+  profile_with(/*fuse=*/true, /*per_instruction=*/false, bc);
+  profile_with(/*fuse=*/false, /*per_instruction=*/false, nofuse);
 
   ASSERT_EQ(ref.entries().size(), 2u);
   EXPECT_GT(ref.entries()[0].samples, 0u);  // $helper's loop blocks
   EXPECT_GT(ref.entries()[1].samples, 0u);  // $run's entry block
-  for (const FuncProfiler* other : {&bc, &bc_switch}) {
+  for (const FuncProfiler* other : {&bc, &nofuse}) {
     ASSERT_EQ(other->entries().size(), ref.entries().size());
     for (size_t f = 0; f < ref.entries().size(); ++f) {
       EXPECT_EQ(other->entries()[f].samples, ref.entries()[f].samples) << f;

@@ -8,8 +8,8 @@
 //    instances (the evidence v4 trail is reproducible bit-for-bit);
 //  * observational identity — ExecStats, checkpoint firings, the counter
 //    global and every signed ledger byte are bit-identical between
-//    opt_level=0 and opt_level=max, across dispatch backends and
-//    accounting granularities.
+//    opt_level=0 and opt_level=max, in batched execution and in the oracle
+//    mode.
 // Plus the fail-closed side: the AE rejects level mismatches and tampered
 // pass trails, and the hostile opt-mutation corpus has zero false accepts.
 #include <gtest/gtest.h>
@@ -34,7 +34,6 @@
 namespace acctee {
 namespace {
 
-using interp::DispatchMode;
 using interp::ExecStats;
 using interp::Instance;
 using V = interp::TypedValue;
@@ -214,11 +213,9 @@ TEST(OptPipeline, EvidencePayloadDeterministicAcrossEnclaves) {
   EXPECT_FALSE(out_a.evidence.opt_passes.empty());
 }
 
-Instance::Options interp_options(DispatchMode dispatch,
-                                 bool per_instruction) {
+Instance::Options interp_options(bool per_instruction) {
   Instance::Options opts;
   opts.cache_model = false;
-  opts.dispatch = dispatch;
   opts.per_instruction_accounting = per_instruction;
   return opts;
 }
@@ -259,35 +256,38 @@ Observed observe(const interp::CompiledModulePtr& compiled,
 
 // The acceptance bar: ExecStats, the weighted counter, and every checkpoint
 // snapshot are bit-identical between opt_level=0 and opt_level=max, for
-// every workload, across dispatch backends and accounting granularities.
+// every workload, in batched execution and in the oracle mode (serial
+// accounting over unfused lowering).
 TEST(OptAccounting, BitIdenticalAcrossOptLevels) {
   const instrument::WeightTable weights = instrument::WeightTable::unit();
   const instrument::HostChargePolicy host_charge;
   struct Combo {
     const char* name;
-    DispatchMode dispatch;
+    bool fuse;
     bool per_instruction;
   };
   const std::vector<Combo> combos = {
-      {"switch/batched", DispatchMode::Switch, false},
-      {"switch/serial", DispatchMode::Switch, true},
-      {"threaded/batched", DispatchMode::Threaded, false},
-      {"bytecode/batched", DispatchMode::Bytecode, false},
+      {"serial", false, true},
+      {"batched", true, false},
   };
   for (Workload& w : workloads()) {
     for (instrument::PassKind kind : pass_kinds()) {
       Prepared p = prepare(w.module, kind);
-      interp::CompiledModulePtr optimised = analysis::opt::optimise_compiled(
-          p.baseline, p.instrumented.counter_global,
-          analysis::opt::kMaxOptLevel, weights, host_charge);
       for (const Combo& combo : combos) {
         const std::string label = std::string(w.name) + "/" + combo.name +
                                   "/kind" +
                                   std::to_string(static_cast<int>(kind));
-        Instance::Options opts =
-            interp_options(combo.dispatch, combo.per_instruction);
+        interp::CompiledModule::CompileOptions copts;
+        copts.lower.fuse = combo.fuse;
+        interp::CompiledModulePtr baseline =
+            interp::compile(p.instrumented.module, copts);
+        interp::CompiledModulePtr optimised =
+            analysis::opt::optimise_compiled(
+                baseline, p.instrumented.counter_global,
+                analysis::opt::kMaxOptLevel, weights, host_charge);
+        Instance::Options opts = interp_options(combo.per_instruction);
         Observed base =
-            observe(p.baseline, p.instrumented.counter_global, w, opts);
+            observe(baseline, p.instrumented.counter_global, w, opts);
         Observed opt =
             observe(optimised, p.instrumented.counter_global, w, opts);
         expect_stats_equal(opt.stats, base.stats, label);
@@ -312,7 +312,7 @@ TEST(OptAccounting, InstructionLimitTrapsIdentically) {
       weights, host_charge);
 
   // Find the full cost, then cap below it so the trap lands mid-execution.
-  Instance::Options opts = interp_options(DispatchMode::Switch, false);
+  Instance::Options opts = interp_options(false);
   Instance full(p.baseline, {}, opts);
   full.invoke("run", w.args);
   opts.max_instructions = full.stats().instructions / 2;

@@ -322,27 +322,6 @@ int cmd_instrument(int argc, char** argv) {
   return 0;
 }
 
-interp::DispatchMode parse_dispatch(const std::string& s) {
-  if (s == "auto") return interp::DispatchMode::Auto;
-  if (s == "switch") return interp::DispatchMode::Switch;
-  if (s == "goto") return interp::DispatchMode::Threaded;
-  if (s == "bc" || s == "bytecode") return interp::DispatchMode::Bytecode;
-  if (s == "bc-switch") return interp::DispatchMode::BytecodeSwitch;
-  throw Error("unknown dispatch backend: " + s +
-              " (expected auto|switch|goto|bc|bc-switch)");
-}
-
-const char* to_string(interp::DispatchMode mode) {
-  switch (mode) {
-    case interp::DispatchMode::Auto: return "auto";
-    case interp::DispatchMode::Switch: return "switch";
-    case interp::DispatchMode::Threaded: return "goto";
-    case interp::DispatchMode::Bytecode: return "bc";
-    case interp::DispatchMode::BytecodeSwitch: return "bc-switch";
-  }
-  return "?";
-}
-
 int cmd_run(int argc, char** argv) {
   if (argc < 1) throw Error("usage: acctee run <module> [options]");
   std::string path = argv[0];
@@ -362,8 +341,6 @@ int cmd_run(int argc, char** argv) {
       options.platform = parse_platform(argv[++i]);
     } else if (std::strcmp(argv[i], "--input") == 0 && i + 1 < argc) {
       channel.input = read_file(argv[++i]);
-    } else if (std::strcmp(argv[i], "--dispatch") == 0 && i + 1 < argc) {
-      options.dispatch = parse_dispatch(argv[++i]);
     } else if (std::strcmp(argv[i], "--profile") == 0) {
       profile = true;
     } else if (std::strcmp(argv[i], "--folded") == 0) {
@@ -414,9 +391,6 @@ int cmd_run(int argc, char** argv) {
   std::fprintf(info, "cycles:          %llu (simulated, %s)\n",
                static_cast<unsigned long long>(stats.cycles),
                to_string(options.platform));
-  std::fprintf(info, "dispatch:        %s (bytecode backend %scompiled in)\n",
-               to_string(options.dispatch),
-               interp::Instance::bytecode_available() ? "" : "not ");
   std::fprintf(info, "peak memory:     %llu bytes\n",
                static_cast<unsigned long long>(stats.peak_memory_bytes));
   std::fprintf(info, "io in/out:       %llu / %llu bytes\n",
@@ -441,9 +415,8 @@ int cmd_run(int argc, char** argv) {
     for (size_t f = 0; f < entries.size(); ++f) {
       const auto& e = entries[f];
       if (e.samples == 0) continue;
-      // Symbolized: profiler frame indices are defined-function indices on
-      // every backend (lowering preserves them), so the module's own names
-      // apply regardless of dispatch mode.
+      // Symbolized: profiler frame indices are defined-function indices
+      // (lowering preserves them), so the module's own names apply.
       const std::string name =
           f < func_names.size() && !func_names[f].empty()
               ? func_names[f]
@@ -857,13 +830,6 @@ int cmd_gap(int argc, char** argv) {
       throw Error(usage_line);
     }
   }
-  if (!interp::Instance::shadow_meter_available()) {
-    std::fprintf(stderr,
-                 "acctee gap: shadow meter compiled out "
-                 "(rebuild with -DACCTEE_SHADOW_METER=ON)\n");
-    return 1;
-  }
-
   instrument::InstrumentOptions options;
   options.pass = instrument::PassKind::LoopBased;
   options.host_call_weight = host_weight;
@@ -1083,7 +1049,6 @@ void usage() {
       "  acctee instrument <in> <out.wasm> [--pass naive|flow|loop]\n"
       "  acctee run <module> [--entry NAME] [--arg TYPE:VALUE ...]\n"
       "             [--platform native|wasm|sgx-sim|sgx-hw] [--input FILE]\n"
-      "             [--dispatch auto|switch|goto|bc|bc-switch]\n"
       "             [--profile] [--folded] [--sample-interval N]\n"
       "  acctee metrics <module> [--entry NAME] [--arg TYPE:VALUE ...]\n"
       "             [--requests N] [--pass P] [--format prom|json]\n"

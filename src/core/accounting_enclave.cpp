@@ -216,7 +216,7 @@ AccountingEnclave::prepare(BytesView instrumented_binary,
 
   if (config_.verify_instrumentation) {
     // Verify-then-bind (DESIGN.md §15): the proofs above were carried out
-    // over the flattened code; the bytecode backend executes the lowered
+    // over the flattened code; the interpreter executes the lowered
     // form. Bind the two by re-deriving the lowering and its digest — over
     // the optimised flat form when the middle-end ran — so a tampered
     // lowered stream can never run under a verified identity.

@@ -127,8 +127,8 @@ class AccountingEnclave {
     crypto::Digest cost_vector_digest{};
     /// Digest binding the lowered internal bytecode to the verified
     /// flattened code (analysis::check_lowering; all zero when verification
-    /// is disabled). Executions of this prepared module may run the
-    /// bytecode backend only because this bind succeeded.
+    /// is disabled). With verification on, executions of this prepared
+    /// module run the lowered bytecode only because this bind succeeded.
     crypto::Digest lowering_digest{};
   };
 

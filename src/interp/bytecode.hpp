@@ -22,8 +22,8 @@ namespace acctee::interp {
 
 /// Bytecode opcode space: the wasm base opcodes first (same enumerator
 /// names and order as wasm::Op, so unfused ops lower by a straight cast and
-/// the run-loop handler bodies are shared verbatim between the flattened
-/// and bytecode backends), then the superinstructions from bytecode.def.
+/// keep their wasm::Op handler bodies in run_loop.inc), then the
+/// superinstructions from bytecode.def.
 enum class BcOp : uint16_t {
 #define ACCTEE_OP(name, text, binary, imm, sig, cost) name,
 #include "wasm/opcodes.def"

@@ -249,7 +249,7 @@ TEST(Bytecode, CheckpointSnapshotsIdenticalAcrossBackends) {
 // [local.set] shape the lowerer fuses into one superinstruction, so limit
 // values landing "inside" the fused pattern force the serial fallback to
 // replay the flat constituents — the trap must fire at the same serial
-// instruction index in every backend.
+// instruction index in every row.
 TEST(Bytecode, InstructionLimitFiresAtSameIndexInsideFusedPattern) {
   const char* wat = R"((module (func (export "f") (local i32)
     loop $l

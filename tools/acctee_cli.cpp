@@ -467,8 +467,8 @@ int verify_opt_pipeline(const interp::CompiledModulePtr& compiled,
                 crypto::digest_hex(pr.trail.passes.back().cost_vector_digest)
                     .c_str());
   }
-  // Bind the lowering of the transformed form too (the bytecode backend
-  // would execute it).
+  // Bind the lowering of the transformed form too (the interpreter would
+  // execute it).
   interp::CompiledModulePtr optimised = analysis::opt::optimise_compiled(
       compiled, counter_global, opt_level, weights, {});
   if (auto err = analysis::check_lowering(*optimised)) {
@@ -505,7 +505,7 @@ int verify_one(const wasm::Module& module, uint32_t counter_global,
   std::printf("cost vector digest: %s\n",
               crypto::digest_hex(verdict.cost_vector_digest).c_str());
   // Verify-then-bind (DESIGN.md §15): the proof above covers the flattened
-  // code; bind the lowered bytecode the execution backends run to it.
+  // code; bind the lowered bytecode the interpreter runs to it.
   interp::CompiledModulePtr compiled = interp::compile(module);
   if (auto err = analysis::check_lowering(*compiled)) {
     std::printf("FAIL: lowering binding: %s\n", err->c_str());

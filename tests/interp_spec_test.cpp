@@ -28,6 +28,13 @@ struct I32BinCase {
   int32_t expected;
 };
 
+// gtest prints a parameter with no printer as its raw bytes, and those
+// bytes hold the address of `name`, which moves with every run; the
+// listed test names must not. Print the case's operator instead.
+void PrintTo(const I32BinCase& c, std::ostream* os) {
+  *os << wasm::op_info(c.op).name;
+}
+
 class I32BinSpec : public ::testing::TestWithParam<I32BinCase> {};
 
 TEST_P(I32BinSpec, Evaluates) {
@@ -99,6 +106,10 @@ struct I64BinCase {
   bool result_is_i32;
 };
 
+void PrintTo(const I64BinCase& c, std::ostream* os) {
+  *os << wasm::op_info(c.op).name;
+}
+
 class I64BinSpec : public ::testing::TestWithParam<I64BinCase> {};
 
 TEST_P(I64BinSpec, Evaluates) {
@@ -153,6 +164,10 @@ struct F64BinCase {
   double rhs;
   double expected;
 };
+
+void PrintTo(const F64BinCase& c, std::ostream* os) {
+  *os << wasm::op_info(c.op).name;
+}
 
 class F64BinSpec : public ::testing::TestWithParam<F64BinCase> {};
 

@@ -139,19 +139,44 @@ void BM_Sha256(benchmark::State& state) {
     benchmark::DoNotOptimize(digest[0]);
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(std::string(crypto::sha256_backend()));
 }
-BENCHMARK(BM_Sha256)->Arg(1024)->Arg(1 << 20);
+BENCHMARK(BM_Sha256)->Arg(32)->Arg(1024)->Arg(1 << 20);
 
-void BM_LamportSignVerify(benchmark::State& state) {
-  crypto::Signer signer(to_bytes("bench"), 4096);
+// One Lamport key: 512 PRF calls and 512 preimage hashes.
+void BM_LamportKeygen(benchmark::State& state) {
+  Bytes seed = to_bytes("bench");
+  for (auto _ : state) {
+    crypto::LamportKeyPair kp = crypto::LamportKeyPair::from_seed(seed);
+    benchmark::DoNotOptimize(kp.pub.hashes[0][0]);
+  }
+  state.SetLabel(std::string(crypto::sha256_backend()));
+}
+BENCHMARK(BM_LamportKeygen);
+
+// Spends one one-time key per iteration.
+void BM_LamportSign(benchmark::State& state) {
+  crypto::Signer signer(to_bytes("bench"), 256);
   Bytes message = to_bytes("resource log");
-  crypto::Digest id = signer.identity();
   for (auto _ : state) {
     crypto::Signature sig = signer.sign(message);
+    benchmark::DoNotOptimize(sig.lamport.revealed[0][0]);
+  }
+  state.SetLabel(std::string(crypto::sha256_backend()));
+}
+BENCHMARK(BM_LamportSign)->Iterations(256);
+
+void BM_LamportVerify(benchmark::State& state) {
+  crypto::Signer signer(to_bytes("bench"), 4);
+  Bytes message = to_bytes("resource log");
+  crypto::Signature sig = signer.sign(message);
+  crypto::Digest id = signer.identity();
+  for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::signature_verify(id, message, sig));
   }
+  state.SetLabel(std::string(crypto::sha256_backend()));
 }
-BENCHMARK(BM_LamportSignVerify)->Iterations(256);
+BENCHMARK(BM_LamportVerify);
 
 void BM_EndToEndAccountedExecution(benchmark::State& state) {
   sgx::Platform platform("bench", to_bytes("seed"));

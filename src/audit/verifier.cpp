@@ -1,6 +1,7 @@
 #include "audit/verifier.hpp"
 
 #include <cstdint>
+#include <span>
 #include <sstream>
 
 namespace acctee::audit {
@@ -40,11 +41,18 @@ VerifyReport verify_ledger(const Ledger& ledger,
     report.problems.push_back(std::move(text));
   };
 
+  // Each log's canonical bytes are its signed message, the next entry's
+  // prev_log_hash preimage and its checkpoint leaf: serialize once.
+  std::vector<Bytes> serialized;
+  serialized.reserve(entries.size());
+
   // 1-3. Per-entry signatures, sequence continuity, hash chain.
   for (size_t i = 0; i < entries.size(); ++i) {
     const core::SignedResourceLog& slog = entries[i].signed_log;
     ++report.entries_checked;
-    if (!slog.verify(ae_identity)) {
+    serialized.push_back(slog.log.serialize());
+    if (!crypto::signature_verify(ae_identity, serialized[i],
+                                  slog.signature)) {
       problem("entry " + std::to_string(i) + " (sequence " +
               std::to_string(slog.log.sequence) +
               "): signature does not verify against the AE identity "
@@ -64,7 +72,7 @@ VerifyReport verify_ledger(const Ledger& ledger,
                 interval(prev.sequence + 1, cur.sequence - 1) +
                 " missing (dropped log interval)");
       }
-      if (cur.prev_log_hash != crypto::sha256(prev.serialize())) {
+      if (cur.prev_log_hash != crypto::sha256(serialized[i - 1])) {
         problem("entry " + std::to_string(i) + " (sequence " +
                 std::to_string(cur.sequence) +
                 "): prev_log_hash does not match entry " +
@@ -106,11 +114,8 @@ VerifyReport verify_ledger(const Ledger& ledger,
     if (!cp.verify(ae_identity)) {
       problem(tag + ": signature does not verify against the AE identity");
     }
-    std::vector<Bytes> leaves;
-    leaves.reserve(cp.count);
-    for (uint64_t i = 0; i < cp.count; ++i) {
-      leaves.push_back(entries[cp.first_entry + i].signed_log.log.serialize());
-    }
+    std::span<const Bytes> leaves =
+        std::span<const Bytes>(serialized).subspan(cp.first_entry, cp.count);
     crypto::MerkleTree tree(leaves);
     if (tree.root() != cp.batch_root) {
       problem(tag + ": Merkle root mismatch over entries " +

@@ -1,10 +1,12 @@
 #include "crypto/hmac.hpp"
 
+#include <algorithm>
+
 namespace acctee::crypto {
 
-Digest hmac_sha256(BytesView key, BytesView message) {
+HmacSha256::HmacSha256(BytesView key) {
   constexpr size_t kBlock = 64;
-  Bytes k(kBlock, 0);
+  std::array<uint8_t, kBlock> k{};
   if (key.size() > kBlock) {
     Digest kd = sha256(key);
     std::copy(kd.begin(), kd.end(), k.begin());
@@ -12,21 +14,27 @@ Digest hmac_sha256(BytesView key, BytesView message) {
     std::copy(key.begin(), key.end(), k.begin());
   }
 
-  Bytes ipad(kBlock), opad(kBlock);
+  std::array<uint8_t, kBlock> ipad{}, opad{};
   for (size_t i = 0; i < kBlock; ++i) {
     ipad[i] = k[i] ^ 0x36;
     opad[i] = k[i] ^ 0x5c;
   }
+  inner_.update(BytesView(ipad.data(), ipad.size()));
+  outer_.update(BytesView(opad.data(), opad.size()));
+}
 
-  Sha256 inner;
-  inner.update(ipad);
+Digest HmacSha256::mac(BytesView message) const {
+  Sha256 inner = inner_;
   inner.update(message);
   Digest inner_digest = inner.finish();
 
-  Sha256 outer;
-  outer.update(opad);
+  Sha256 outer = outer_;
   outer.update(BytesView(inner_digest.data(), inner_digest.size()));
   return outer.finish();
+}
+
+Digest hmac_sha256(BytesView key, BytesView message) {
+  return HmacSha256(key).mac(message);
 }
 
 bool hmac_verify(BytesView key, BytesView message, BytesView mac) {

@@ -1,12 +1,29 @@
 // HMAC-SHA-256 (RFC 2104), used for SGX quote MACs (the quoting enclave and
 // the simulated attestation service share platform keys, mirroring how real
-// EPID quotes are only verifiable through Intel's attestation service).
+// EPID quotes are only verifiable through Intel's attestation service), and
+// as the PRF that derives Lamport one-time keys from a seed.
 #pragma once
 
 #include "common/bytes.hpp"
 #include "crypto/sha256.hpp"
 
 namespace acctee::crypto {
+
+/// HMAC-SHA-256 under one key. The key's ipad and opad blocks are absorbed
+/// once, at construction, and each mac() starts from copies of those two
+/// midstates: a MAC of a message shorter than 56 bytes costs two
+/// compressions instead of four.
+class HmacSha256 {
+ public:
+  explicit HmacSha256(BytesView key);
+
+  /// HMAC-SHA-256(key, message).
+  Digest mac(BytesView message) const;
+
+ private:
+  Sha256 inner_;
+  Sha256 outer_;
+};
 
 /// Computes HMAC-SHA-256(key, message).
 Digest hmac_sha256(BytesView key, BytesView message);

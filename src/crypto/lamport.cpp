@@ -51,11 +51,17 @@ LamportSignature LamportSignature::deserialize(BytesView data) {
 
 LamportKeyPair LamportKeyPair::from_seed(BytesView seed) {
   LamportKeyPair kp;
+  HmacSha256 prf(seed);
+  // Preimage_i = HMAC(seed, "lamport-slot" || u32le(i)): one PRF call per
+  // slot.
+  constexpr std::string_view kPrefix = "lamport-slot";
+  std::array<uint8_t, kPrefix.size() + 4> label{};
+  std::copy(kPrefix.begin(), kPrefix.end(), label.begin());
   for (size_t i = 0; i < 2 * kLamportSlots; ++i) {
-    // Preimage_i = HMAC(seed, "lamport" || i): one PRF call per slot.
-    Bytes label = to_bytes("lamport-slot");
-    append_u32le(label, static_cast<uint32_t>(i));
-    Digest pre = hmac_sha256(seed, label);
+    for (size_t b = 0; b < 4; ++b) {
+      label[kPrefix.size() + b] = static_cast<uint8_t>(i >> (8 * b));
+    }
+    Digest pre = prf.mac(BytesView(label.data(), label.size()));
     std::copy(pre.begin(), pre.end(), kp.priv.preimages[i].begin());
     kp.pub.hashes[i] = sha256(BytesView(pre.data(), pre.size()));
   }

@@ -44,7 +44,7 @@ Digest MerkleTree::hash_node(const Digest& left, const Digest& right) {
   return ctx.finish();
 }
 
-MerkleTree::MerkleTree(const std::vector<Bytes>& leaf_data) {
+MerkleTree::MerkleTree(std::span<const Bytes> leaf_data) {
   if (leaf_data.empty()) {
     throw std::invalid_argument("MerkleTree: no leaves");
   }
@@ -85,6 +85,12 @@ MerkleProof MerkleTree::prove(uint64_t index) const {
 
 bool merkle_verify(const Digest& root, BytesView leaf_data,
                    const MerkleProof& proof) {
+  // Each sibling consumes one bit of leaf_index; a set bit above them would
+  // let one proof verify under several indices.
+  if (proof.siblings.size() < 64 &&
+      (proof.leaf_index >> proof.siblings.size()) != 0) {
+    return false;
+  }
   Digest h = MerkleTree::hash_leaf(leaf_data);
   uint64_t pos = proof.leaf_index;
   for (const auto& sibling : proof.siblings) {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -29,7 +30,7 @@ class MerkleTree {
  public:
   /// Builds a tree over `leaf_data` (each element is hashed as a leaf).
   /// Throws std::invalid_argument if empty.
-  explicit MerkleTree(const std::vector<Bytes>& leaf_data);
+  explicit MerkleTree(std::span<const Bytes> leaf_data);
 
   Digest root() const { return levels_.back()[0]; }
   size_t leaf_count() const { return levels_[0].size(); }
@@ -47,7 +48,10 @@ class MerkleTree {
   std::vector<std::vector<Digest>> levels_;
 };
 
-/// Verifies that `leaf_data` is included under `root` via `proof`.
+/// Verifies that `leaf_data` is included under `root` via `proof`. A
+/// leaf_index with a bit set above the proof's depth is rejected. Known
+/// limit: a level's last node paired with itself verifies from either side,
+/// so with an odd leaf count the last leaf also verifies at its index + 1.
 bool merkle_verify(const Digest& root, BytesView leaf_data,
                    const MerkleProof& proof);
 

@@ -1,5 +1,7 @@
 #include "crypto/signer.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "crypto/hmac.hpp"
 
@@ -41,6 +43,29 @@ Signature Signature::deserialize(BytesView data) {
   return out;
 }
 
+namespace {
+
+std::vector<LamportKeyPair> derive_keys(BytesView seed, uint32_t num_keys) {
+  if (num_keys == 0) throw Error("Signer: num_keys must be > 0");
+  HmacSha256 prf(seed);
+  // Key seed_i = HMAC(seed, "signer-key" || u32le(i)).
+  constexpr std::string_view kPrefix = "signer-key";
+  std::array<uint8_t, kPrefix.size() + 4> label{};
+  std::copy(kPrefix.begin(), kPrefix.end(), label.begin());
+  std::vector<LamportKeyPair> keys;
+  keys.reserve(num_keys);
+  for (uint32_t i = 0; i < num_keys; ++i) {
+    for (size_t b = 0; b < 4; ++b) {
+      label[kPrefix.size() + b] = static_cast<uint8_t>(i >> (8 * b));
+    }
+    Digest key_seed = prf.mac(BytesView(label.data(), label.size()));
+    keys.push_back(LamportKeyPair::from_seed(BytesView(key_seed.data(), 32)));
+  }
+  return keys;
+}
+
+}  // namespace
+
 MerkleTree Signer::build_tree(const std::vector<LamportKeyPair>& keys) {
   std::vector<Bytes> leaves;
   leaves.reserve(keys.size());
@@ -52,21 +77,7 @@ MerkleTree Signer::build_tree(const std::vector<LamportKeyPair>& keys) {
 }
 
 Signer::Signer(BytesView seed, uint32_t num_keys)
-    : keys_([&] {
-        std::vector<LamportKeyPair> keys;
-        keys.reserve(num_keys);
-        for (uint32_t i = 0; i < num_keys; ++i) {
-          Bytes label = to_bytes("signer-key");
-          append_u32le(label, i);
-          Digest key_seed = hmac_sha256(seed, label);
-          keys.push_back(
-              LamportKeyPair::from_seed(BytesView(key_seed.data(), 32)));
-        }
-        return keys;
-      }()),
-      tree_(build_tree(keys_)) {
-  if (num_keys == 0) throw Error("Signer: num_keys must be > 0");
-}
+    : keys_(derive_keys(seed, num_keys)), tree_(build_tree(keys_)) {}
 
 Signature Signer::sign(BytesView message) {
   if (next_key_ >= keys_.size()) {
@@ -85,7 +96,10 @@ bool signature_verify(const Digest& identity, BytesView message,
                       const Signature& sig) {
   if (sig.inclusion.leaf_index != sig.key_index) return false;
   Digest fp = sig.one_time_key.fingerprint();
-  if (!merkle_verify(identity, digest_bytes(fp), sig.inclusion)) return false;
+  if (!merkle_verify(identity, BytesView(fp.data(), fp.size()),
+                     sig.inclusion)) {
+    return false;
+  }
   return lamport_verify(sig.one_time_key, message, sig.lamport);
 }
 

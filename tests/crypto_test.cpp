@@ -1,6 +1,11 @@
 // Unit tests for src/crypto: SHA-256/HMAC against published test vectors,
-// Lamport one-time signatures, Merkle trees, and the multi-use Signer.
+// the hardware SHA-256 compression against the portable one, Lamport
+// one-time signatures, Merkle trees, and the multi-use Signer.
 #include <gtest/gtest.h>
+
+#include <latch>
+#include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -12,6 +17,29 @@
 
 namespace acctee::crypto {
 namespace {
+
+// SHA-256 with its own padding over the portable compression function: the
+// reference Sha256's buffering and the hardware compression are checked
+// against.
+Digest portable_sha256(BytesView data) {
+  Sha256State state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  Bytes padded(data.begin(), data.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  uint64_t bits = static_cast<uint64_t>(data.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<uint8_t>(bits >> (8 * i)));
+  }
+  sha256_compress_portable(state, padded.data(), padded.size() / 64);
+  Digest out;
+  for (size_t i = 0; i < 8; ++i) {
+    for (size_t b = 0; b < 4; ++b) {
+      out[4 * i + b] = static_cast<uint8_t>(state[i] >> (24 - 8 * b));
+    }
+  }
+  return out;
+}
 
 TEST(Sha256, NistVectors) {
   // FIPS 180-4 examples.
@@ -43,6 +71,68 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Sha256, ShaNiCompressMatchesPortable) {
+  if (sha256_backend() == "portable") {
+    GTEST_SKIP() << "this CPU has no SHA extensions";
+  }
+#if defined(__x86_64__)
+  Xoshiro256 rng(11);
+  for (int trial = 0; trial < 32; ++trial) {
+    for (size_t nblocks = 1; nblocks <= 8; ++nblocks) {
+      Sha256State start;
+      for (uint32_t& word : start) word = static_cast<uint32_t>(rng.next());
+      Bytes blocks = rng.next_bytes(64 * nblocks);
+      Sha256State hw = start;
+      Sha256State sw = start;
+      sha256_compress_sha_ni(hw, blocks.data(), nblocks);
+      sha256_compress_portable(sw, blocks.data(), nblocks);
+      EXPECT_EQ(hw, sw) << "trial=" << trial << " nblocks=" << nblocks;
+    }
+  }
+#endif
+}
+
+TEST(Sha256, EveryLengthMatchesPortable) {
+  Bytes data = Xoshiro256(6).next_bytes(1100);
+  for (size_t len = 0; len <= data.size(); ++len) {
+    BytesView prefix = BytesView(data).subspan(0, len);
+    ASSERT_EQ(sha256(prefix), portable_sha256(prefix)) << "len=" << len;
+  }
+}
+
+TEST(Sha256, OddChunkUpdatesMatchPortable) {
+  Bytes data = Xoshiro256(8).next_bytes(1100);
+  Digest expected = portable_sha256(data);
+  for (size_t chunk : {1ul, 3ul, 7ul, 13ul, 55ul, 63ul, 65ul, 127ul, 129ul,
+                       191ul}) {
+    Sha256 ctx;
+    for (size_t pos = 0; pos < data.size(); pos += chunk) {
+      ctx.update(BytesView(data).subspan(pos, std::min(chunk,
+                                                       data.size() - pos)));
+    }
+    EXPECT_EQ(ctx.finish(), expected) << "chunk=" << chunk;
+  }
+}
+
+TEST(Sha256Concurrent, FirstUseFromManyThreads) {
+  // Nothing in this process has hashed before (ctest runs each test in its
+  // own process), so the threads race on the one-time backend pick.
+  constexpr size_t kThreads = 8;
+  Bytes data = Xoshiro256(9).next_bytes(300);
+  std::vector<Digest> digests(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      digests[t] = sha256(data);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const Digest& d : digests) EXPECT_EQ(d, digests[0]);
+  EXPECT_EQ(digests[0], portable_sha256(data));
+}
+
 TEST(Hmac, Rfc4231Vectors) {
   // RFC 4231 test case 1.
   Bytes key(20, 0x0b);
@@ -60,6 +150,24 @@ TEST(Hmac, Rfc4231Vectors) {
                              "Key First"));
   EXPECT_EQ(digest_hex(mac),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+TEST(Hmac, ContextReusedAcrossMessages) {
+  // RFC 4231 test cases 6 and 7 share one key longer than a block; case 7's
+  // message spans three blocks.
+  Bytes key(131, 0xaa);
+  Bytes m6 = to_bytes("Test Using Larger Than Block-Size Key - Hash Key First");
+  Bytes m7 = to_bytes(
+      "This is a test using a larger than block-size key and a larger than "
+      "block-size data. The key needs to be hashed before being used by the "
+      "HMAC algorithm.");
+  HmacSha256 ctx(key);
+  EXPECT_EQ(digest_hex(ctx.mac(m6)),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+  EXPECT_EQ(digest_hex(ctx.mac(m7)),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
+  EXPECT_EQ(ctx.mac(m6), hmac_sha256(key, m6));
+  EXPECT_EQ(ctx.mac(m7), hmac_sha256(key, m7));
 }
 
 TEST(Hmac, VerifyAcceptsAndRejects) {
@@ -196,6 +304,32 @@ TEST(Signer, RejectsKeyIndexConfusion) {
   Signature sig = signer.sign(msg);
   sig.key_index = 1;  // proof is for index 0
   EXPECT_FALSE(signature_verify(signer.identity(), msg, sig));
+}
+
+TEST(Signer, RejectsKeyIndexAliasAboveTreeDepth) {
+  // The proof has depth 2, so index 0 + 4 must not reuse its path bits.
+  Signer signer(to_bytes("s4"), 4);
+  Bytes msg = to_bytes("m");
+  Signature sig = signer.sign(msg);
+  ASSERT_TRUE(signature_verify(signer.identity(), msg, sig));
+  sig.key_index += 4;
+  sig.inclusion.leaf_index += 4;
+  EXPECT_FALSE(signature_verify(signer.identity(), msg, sig));
+}
+
+TEST(Signer, ZeroKeysThrowsError) {
+  EXPECT_THROW(Signer(to_bytes("s"), 0), acctee::Error);
+}
+
+TEST(Signer, KeyMaterialPinned) {
+  // Any change to hashing, key derivation or the signature encoding that
+  // moves key material fails here.
+  Signer signer(to_bytes("seed"), 4);
+  EXPECT_EQ(digest_hex(signer.identity()),
+            "2cf388332fc52f67d17f295ba019d2ffb579dc39a8a1f42fd7b74e145b07e865");
+  Signature sig = signer.sign(to_bytes("pinned message"));
+  EXPECT_EQ(digest_hex(sha256(sig.serialize())),
+            "4bd65d2af943a1e789313dad79e44c7e61c0b4d380589702dd85cd17b29d1801");
 }
 
 TEST(Signer, SignatureSerializationRoundTrip) {

@@ -18,14 +18,16 @@ Cache::Cache(const CacheConfig& config) : config_(config) {
   if (!is_pow2(num_sets_)) {
     throw std::invalid_argument("Cache: set count must be a power of two");
   }
-  ways_.resize(static_cast<size_t>(num_sets_) * config.associativity);
+  ways_.resize(static_cast<size_t>(num_sets_) * config.associativity *
+               sizeof(Way));
 }
 
 bool Cache::access(uint64_t line_addr) {
   uint64_t line = line_addr / config_.line_bytes;
   uint32_t set = static_cast<uint32_t>(line & (num_sets_ - 1));
   uint64_t tag = line;  // full line id; sets are disjoint so this is safe
-  Way* begin = &ways_[static_cast<size_t>(set) * config_.associativity];
+  Way* begin = reinterpret_cast<Way*>(ways_.data()) +
+               static_cast<size_t>(set) * config_.associativity;
   ++stamp_;
 
   for (uint32_t w = 0; w < config_.associativity; ++w) {

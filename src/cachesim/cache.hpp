@@ -10,7 +10,9 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <type_traits>
+
+#include "common/zero_pages.hpp"
 
 namespace acctee::cachesim {
 
@@ -32,8 +34,8 @@ class Cache {
   bool access(uint64_t line_addr);
 
   /// Drops all cached lines. O(1): lines are invalidated by bumping the
-  /// cache epoch, not by touching every way (a hierarchy holds ~10^5 ways;
-  /// instance freelists flush per request).
+  /// cache epoch, not by touching every way (a hierarchy holds ~10^5 ways,
+  /// and a reused instance resets its hierarchy on every request).
   void flush();
 
   /// Restores the exact post-construction state: all lines dropped AND the
@@ -48,15 +50,20 @@ class Cache {
   uint64_t misses() const { return misses_; }
 
  private:
+  // No member initialisers: the way array is all-zero bytes on
+  // construction, and epoch 0 is never the cache epoch, so a zero way is an
+  // invalid one. Construction therefore never fills the array, and a
+  // hierarchy costs only the ways its accesses touch.
   struct Way {
-    uint64_t tag = 0;
-    uint64_t lru = 0;    // last-access stamp
-    uint64_t epoch = 0;  // valid iff equal to the cache epoch (starts at 1)
+    uint64_t tag;
+    uint64_t lru;    // last-access stamp
+    uint64_t epoch;  // valid iff equal to the cache epoch (starts at 1)
   };
+  static_assert(std::is_trivial_v<Way>);
 
   CacheConfig config_;
   uint32_t num_sets_;
-  std::vector<Way> ways_;  // num_sets_ x associativity, row-major
+  ZeroPages ways_;  // num_sets_ x associativity Ways, row-major
   uint64_t epoch_ = 1;
   uint64_t stamp_ = 0;
   uint64_t hits_ = 0;

@@ -58,8 +58,7 @@ interp::ImportMap make_runtime_env(IoChannel* channel,
         if (ctx.memory == nullptr) {
           throw LinkError("io_write requires linear memory");
         }
-        Bytes data = ctx.memory->read_bytes(ptr, len);
-        append(channel->output, data);
+        append(channel->output, ctx.memory->view(ptr, len));
         ctx.stats->io_bytes_out += len;
         if (ctx.meter != nullptr) ctx.meter->on_io(0, len);
         return {TypedValue::make_i32(static_cast<int32_t>(len))};

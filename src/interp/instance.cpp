@@ -145,7 +145,7 @@ void Instance::reset() {
   // allocations (memory backing store, stack/frame capacity, cache arrays).
   // Import links are unchanged: the map and the module both outlive resets.
   if (memory_ != nullptr) {
-    memory_->reset(mod().memory->min);
+    memory_->reset();
     for (const auto& seg : mod().data) {
       memory_->write_bytes(seg.offset, seg.bytes);
     }
@@ -216,9 +216,12 @@ Values Instance::invoke_index(uint32_t func_index, const Values& args) {
     enter_frame(func_index - static_cast<uint32_t>(mod().imports.size()));
     run(frames_.size());
   } catch (...) {
-    // Unwind the frames and operand-stack slots the trapped call left, so
-    // the instance stays usable. run() has already un-charged, which reads
-    // frames_.back().
+    // run() has already un-charged the never-executed suffix (which reads
+    // frames_.back()), so the instruction count is final: fold the tail of
+    // the memory-size integral, as a return does. Then unwind the frames
+    // and operand-stack slots the trapped call left, so the instance stays
+    // usable.
+    note_memory_growth();
     frames_.resize(frame_mark);
     stack_.resize(stack_mark);
     throw;

@@ -1,10 +1,14 @@
-// Unit tests for src/common: byte utilities, LEB128, deterministic RNG.
+// Unit tests for src/common: byte utilities, LEB128, deterministic RNG,
+// zero-page buffer.
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/leb128.hpp"
 #include "common/rng.hpp"
+#include "common/zero_pages.hpp"
 
 namespace acctee {
 namespace {
@@ -141,6 +145,36 @@ TEST(Rng, DoubleIsInUnitInterval) {
 TEST(Rng, BytesAreSeedDependent) {
   Xoshiro256 a(1), b(2);
   EXPECT_NE(a.next_bytes(32), b.next_bytes(32));
+}
+
+bool all_bytes(const ZeroPages& buf, size_t from, size_t to, uint8_t value) {
+  for (size_t i = from; i < to; ++i) {
+    if (buf.data()[i] != value) return false;
+  }
+  return true;
+}
+
+TEST(ZeroPages, GrowthReadsZeroAfterAShrink) {
+  ZeroPages buf(10000);
+  ASSERT_EQ(buf.size(), 10000u);
+  EXPECT_TRUE(all_bytes(buf, 0, 10000, 0));
+  std::memset(buf.data(), 0xab, buf.size());
+
+  // Shrinking keeps the prefix; growing again, within the last kept page
+  // and past it, reads zero beyond that prefix.
+  buf.resize(100);
+  buf.resize(300000);
+  EXPECT_TRUE(all_bytes(buf, 0, 100, 0xab));
+  EXPECT_TRUE(all_bytes(buf, 100, 300000, 0));
+
+  ZeroPages moved(std::move(buf));
+  EXPECT_EQ(moved.size(), 300000u);
+  EXPECT_EQ(buf.size(), 0u);
+  EXPECT_TRUE(all_bytes(moved, 0, 100, 0xab));
+  moved.resize(0);
+  EXPECT_EQ(moved.size(), 0u);
+  moved.resize(64);
+  EXPECT_TRUE(all_bytes(moved, 0, 64, 0));
 }
 
 }  // namespace

@@ -339,6 +339,9 @@ TEST(FailureInjection, TrappingWorkloadStillProducesSignedLog) {
   EXPECT_FALSE(billed.outcome.trap_message.empty());
   // The loop's work before the trap is still accounted and billable.
   EXPECT_GT(billed.outcome.signed_log.log.weighted_instructions, 1000u);
+  // So is its memory-time: one page for every instruction that ran.
+  EXPECT_EQ(billed.outcome.signed_log.log.memory_integral,
+            billed.outcome.stats.instructions * wasm::kPageSize);
   EXPECT_TRUE(customer.verify_log(billed.outcome.signed_log));
 }
 

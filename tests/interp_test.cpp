@@ -2,8 +2,10 @@
 // traps, host functions, and execution statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "common/rng.hpp"
 #include "test_util.hpp"
 
 namespace acctee::interp {
@@ -845,6 +847,43 @@ TEST(Stats, MemoryOpCountsAndIntegral) {
   EXPECT_GT(inst.stats().memory_integral, 0u);
 }
 
+TEST(Stats, TrappedRunFoldsMemoryIntegral) {
+  // A trapped run's integral covers every instruction it ran, as a
+  // returning run's does. The division traps mid-block, so the count is
+  // the un-charged one: the trap's suffix must not be folded in.
+  const char* wat = R"((module
+    (memory 2)
+    (func (export "f") (param i32) (result i32)
+      (local $i i32)
+      loop $l
+        local.get $i
+        i32.const 1
+        i32.add
+        local.tee $i
+        i32.const 50
+        i32.lt_s
+        br_if $l
+      end
+      i32.const 7
+      local.get 0
+      i32.div_s
+      i32.const 1
+      i32.add
+    )
+  ))";
+  Instance returning = make_instance(wat);
+  returning.invoke("f", {V::make_i32(1)});
+  EXPECT_EQ(returning.stats().memory_integral,
+            returning.stats().instructions * 2 * wasm::kPageSize);
+
+  Instance trapping = make_instance(wat);
+  EXPECT_THROW(trapping.invoke("f", {V::make_i32(0)}), TrapError);
+  const ExecStats& stats = trapping.stats();
+  // The trap ran all but the two instructions after the division.
+  EXPECT_EQ(stats.instructions, returning.stats().instructions - 2);
+  EXPECT_EQ(stats.memory_integral, stats.instructions * 2 * wasm::kPageSize);
+}
+
 TEST(Stats, NativeVsWasmPlatformCosts) {
   // Same program, Wasm platform charges bounds checks; Native does not.
   const char* wat = R"((module
@@ -939,7 +978,8 @@ TEST(InstanceReset, RestoresMemoryGlobalsAndDataSegments) {
   // post-construction state; the grown page is gone.
   EXPECT_EQ(inst.read_global("calls").i32(), 0);
   EXPECT_EQ(inst.invoke("bump").at(0).i32(), 1010);
-  EXPECT_EQ(inst.memory()->read_bytes(64, 4), to_bytes("seed"));
+  BytesView segment = inst.memory()->view(64, 4);
+  EXPECT_EQ(Bytes(segment.begin(), segment.end()), to_bytes("seed"));
   EXPECT_EQ(inst.invoke("grow").at(0).i32(), 1);  // back to 1 page pre-grow
 }
 
@@ -963,6 +1003,258 @@ TEST(InstanceReset, ExecStatsBitIdenticalToFresh) {
   pooled.invoke("grow");
 
   expect_stats_identical(pooled.stats(), baseline.stats());
+}
+
+// A module with every kind of write a request can make to its instance:
+// stores, a host write (io_read), data segments, memory.grow, a global, and
+// a start function that writes memory. The table is only read.
+const char* kResetPropertyWat = R"((module
+  (import "env" "io_read" (func $io_read (param i32 i32) (result i32)))
+  (type $get (func (result i32)))
+  (memory 3 12)
+  (table 4 funcref)
+  (elem (i32.const 1) $seven $nine)
+  (global $g (mut i64) (i64.const 7))
+  (export "g" (global $g))
+  (data (i32.const 4090) "straddles a chunk")
+  (data (i32.const 70000) "second page")
+  (start $init)
+  (func $init
+    i32.const 131100
+    i32.const 42
+    i32.store)
+  (func $seven (type $get) i32.const 7)
+  (func $nine (type $get) i32.const 9)
+  (func (export "store8") (param i32 i32)
+    local.get 0
+    local.get 1
+    i32.store8)
+  (func (export "store64") (param i32 i64)
+    local.get 0
+    local.get 1
+    i64.store)
+  (func (export "read") (param i32 i32) (result i32)
+    local.get 0
+    local.get 1
+    call $io_read)
+  (func (export "grow") (param i32) (result i32)
+    local.get 0
+    memory.grow)
+  (func (export "bump") (param i64)
+    global.get $g
+    local.get 0
+    i64.add
+    global.set $g)
+  (func (export "store_then_trap") (param i32 i64)
+    local.get 0
+    local.get 1
+    i64.store
+    global.get $g
+    i64.const 1
+    i64.add
+    global.set $g
+    i32.const -1
+    i32.const 0
+    i32.store)
+  (func (export "call_slot") (param i32) (result i32)
+    local.get 0
+    call_indirect (type $get))
+  (func (export "probe") (result i64)
+    (local $a i32) (local $sum i64)
+    loop $l
+      local.get $sum
+      local.get $a
+      i64.load
+      i64.add
+      local.set $sum
+      local.get $a
+      i32.const 4093
+      i32.add
+      local.tee $a
+      memory.size
+      i32.const 65536
+      i32.mul
+      i32.const 8
+      i32.sub
+      i32.lt_u
+      br_if $l
+    end
+    local.get $sum
+    global.get $g
+    i64.add
+    i32.const 1
+    call_indirect (type $get)
+    i64.extend_i32_u
+    i64.add)
+))";
+
+// `input` is what the test's io_read hands out: it copies it into linear
+// memory through the checked host write path, as core's io_read does.
+Instance make_reset_instance(const Bytes* input) {
+  ImportMap imports;
+  imports.add(
+      "env", "io_read",
+      wasm::FuncType{{wasm::ValType::I32, wasm::ValType::I32},
+                     {wasm::ValType::I32}},
+      [input](std::span<const TypedValue> args, HostContext& ctx) -> Values {
+        size_t n = std::min<size_t>(args[1].u32(), input->size());
+        ctx.memory->write_bytes(args[0].u32(), BytesView(input->data(), n));
+        return {TypedValue::make_i32(static_cast<int32_t>(n))};
+      });
+  // Cache model on: a reset must also leave the simulated caches cold.
+  return make_instance(kResetPropertyWat, std::move(imports),
+                       Instance::Options{});
+}
+
+// One request of 1-12 random writes. The first store straddles a 4 KiB
+// chunk boundary; addresses span every current page, grown ones included;
+// some writes trap part-way through their request.
+void random_request(Instance& inst, Bytes& input, Xoshiro256& rng) {
+  auto invoke = [&](std::string_view name, const Values& args) {
+    try {
+      inst.invoke(name, args);
+    } catch (const TrapError&) {
+    }
+  };
+  const uint64_t chunks = inst.memory()->size_bytes() >> 12;
+  invoke("store64",
+         {V::make_i32(static_cast<int32_t>((1 + rng.next_below(chunks - 1)) *
+                                               4096 -
+                                           4)),
+          V::make_i64(static_cast<int64_t>(rng.next() | 1))});
+  const uint64_t ops = rng.next_below(12);
+  for (uint64_t i = 0; i < ops; ++i) {
+    const auto addr = V::make_i32(static_cast<int32_t>(
+        rng.next_below(inst.memory()->size_bytes())));
+    const auto value = V::make_i64(static_cast<int64_t>(rng.next() | 1));
+    switch (rng.next_below(6)) {
+      case 0:
+        invoke("store8", {addr, V::make_i32(static_cast<int32_t>(
+                                    1 + rng.next_below(255)))});
+        break;
+      case 1:
+        invoke("store64", {addr, value});  // traps in the last 7 bytes
+        break;
+      case 2: {
+        input = rng.next_bytes(1 + rng.next_below(9000));
+        // Traps when the copy would run past the end.
+        invoke("read",
+               {addr, V::make_i32(static_cast<int32_t>(input.size()))});
+        break;
+      }
+      case 3:
+        invoke("grow", {V::make_i32(static_cast<int32_t>(rng.next_below(3)))});
+        break;
+      case 4:
+        invoke("bump", {value});
+        break;
+      default:
+        invoke("store_then_trap", {addr, value});
+        break;
+    }
+  }
+}
+
+TEST(InstanceReset, MatchesFreshInstanceAfterRandomRequests) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Xoshiro256 rng(seed);
+    Bytes pooled_input;
+    Instance pooled = make_reset_instance(&pooled_input);
+    for (int round = 0; round < 6; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      random_request(pooled, pooled_input, rng);
+      pooled.reset();
+
+      Bytes fresh_input;
+      Instance fresh = make_reset_instance(&fresh_input);
+      ASSERT_EQ(pooled.memory()->pages(), fresh.memory()->pages());
+      BytesView got = pooled.memory()->view(0, pooled.memory()->size_bytes());
+      BytesView want = fresh.memory()->view(0, fresh.memory()->size_bytes());
+      EXPECT_EQ(std::ranges::mismatch(got, want).in1 - got.begin(),
+                static_cast<std::ptrdiff_t>(got.size()))
+          << "first differing byte";
+      EXPECT_EQ(pooled.read_global("g").i64(), fresh.read_global("g").i64());
+
+      // The next request accounts exactly as on a fresh instance.
+      EXPECT_EQ(pooled.invoke("probe").at(0).i64(),
+                fresh.invoke("probe").at(0).i64());
+      expect_stats_identical(pooled.stats(), fresh.stats());
+      for (int32_t slot = 0; slot < 4; ++slot) {
+        auto call = [&](Instance& inst) -> int32_t {
+          try {
+            return inst.invoke("call_slot", {V::make_i32(slot)}).at(0).i32();
+          } catch (const TrapError&) {
+            return -1;
+          }
+        };
+        EXPECT_EQ(call(pooled), call(fresh)) << "table slot " << slot;
+      }
+
+      // Pages grown after a reset read zero, although earlier requests
+      // wrote to pages they had grown.
+      const uint64_t old_size = pooled.memory()->size_bytes();
+      ASSERT_EQ(pooled.invoke("grow", {V::make_i32(2)}).at(0).i32(),
+                static_cast<int32_t>(old_size / wasm::kPageSize));
+      BytesView grown =
+          pooled.memory()->view(old_size, 2 * wasm::kPageSize);
+      EXPECT_TRUE(std::ranges::all_of(grown, [](uint8_t b) { return b == 0; }));
+    }
+  }
+}
+
+struct AccessOp {
+  const char* name;
+  uint32_t width;
+  bool store;
+};
+
+constexpr AccessOp kAccessOps[] = {
+    {"i32.load", 4, false},     {"i64.load", 8, false},
+    {"f32.load", 4, false},     {"f64.load", 8, false},
+    {"i32.load8_s", 1, false},  {"i32.load8_u", 1, false},
+    {"i32.load16_s", 2, false}, {"i32.load16_u", 2, false},
+    {"i64.load8_s", 1, false},  {"i64.load8_u", 1, false},
+    {"i64.load16_s", 2, false}, {"i64.load16_u", 2, false},
+    {"i64.load32_s", 4, false}, {"i64.load32_u", 4, false},
+    {"i32.store", 4, true},     {"i64.store", 8, true},
+    {"f32.store", 4, true},     {"f64.store", 8, true},
+    {"i32.store8", 1, true},    {"i32.store16", 2, true},
+    {"i64.store8", 1, true},    {"i64.store16", 2, true},
+    {"i64.store32", 4, true},
+};
+
+TEST(InstanceReset, EveryAccessWidthTrapsOneBytePastTheEnd) {
+  // Linear memory sits on pages with no sanitizer redzone or guard page
+  // behind it, so the bounds check is the only guard. It must hold for
+  // every width, on a fresh, a grown and a reset (shrunk) memory.
+  std::string wat =
+      "(module (memory 1 4)\n"
+      "  (func (export \"grow\") (param i32) (result i32)\n"
+      "    local.get 0\n    memory.grow)\n";
+  for (const AccessOp& op : kAccessOps) {
+    std::string name = op.name;
+    wat += "  (func (export \"" + name + "\") (param i32)\n    local.get 0\n";
+    wat += op.store ? "    " + name.substr(0, 3) + ".const 1\n    " + name + ")\n"
+                    : "    " + name + "\n    drop)\n";
+  }
+  wat += ")";
+  Instance inst = make_instance(wat);
+  auto expect_bounds = [&](const char* when) {
+    const uint64_t size = inst.memory()->size_bytes();
+    for (const AccessOp& op : kAccessOps) {
+      const auto last = static_cast<int32_t>(size - op.width);
+      EXPECT_NO_THROW(inst.invoke(op.name, {V::make_i32(last)}))
+          << op.name << ", " << when;
+      EXPECT_THROW(inst.invoke(op.name, {V::make_i32(last + 1)}), TrapError)
+          << op.name << ", " << when;
+    }
+  };
+  expect_bounds("fresh");
+  inst.invoke("grow", {V::make_i32(2)});
+  expect_bounds("grown");
+  inst.reset();
+  expect_bounds("reset");
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "interp/compiled_module.hpp"
 #include "interp/instance.hpp"
 #include "wasm/binary.hpp"
+#include "wasm/wat_parser.hpp"
 #include "workloads/faas_functions.hpp"
 #include "workloads/polybench.hpp"
 
@@ -55,6 +56,38 @@ void BM_DispatchAccountingMatrix(benchmark::State& state) {
       static_cast<double>(instructions), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_DispatchAccountingMatrix)->ArgName("per_instr")->Arg(0)->Arg(1);
+
+// Call-bound dispatch: naive recursive fib(22), ~57k calls per run. Calls
+// and returns are where the run loop writes its pc and stack pointer back
+// and re-derives them, and where enter_frame checks the frame reservation.
+void BM_DispatchRecursiveCalls(benchmark::State& state) {
+  interp::CompiledModulePtr compiled =
+      interp::compile(wasm::parse_wat(R"((module
+    (func $fib (param i32) (result i32)
+      local.get 0
+      i32.const 2
+      i32.lt_u
+      if (result i32)
+        local.get 0
+      else
+        local.get 0 i32.const 1 i32.sub call $fib
+        local.get 0 i32.const 2 i32.sub call $fib
+        i32.add
+      end)
+    (func (export "run") (result i32) i32.const 22 call $fib)))"));
+  interp::Instance::Options opts;
+  opts.cache_model = false;
+  interp::Instance inst(compiled, {}, opts);
+  for (auto _ : state) {
+    inst.reset();
+    benchmark::DoNotOptimize(inst.invoke("run"));
+  }
+  state.counters["instr/s"] = benchmark::Counter(
+      static_cast<double>(inst.stats().instructions) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_DispatchRecursiveCalls);
 
 // --- Prepare vs instantiate: the amortisation the CompiledModule pipeline
 // buys. Cold = decode/flatten the module for every request (the pre-refactor

@@ -195,6 +195,8 @@ const char* to_string(LoweringMutationKind kind) {
       return "drop-fused-counter-charge";
     case LoweringMutationKind::RetargetFusedBranch:
       return "retarget-fused-branch";
+    case LoweringMutationKind::UnderReserveFrame:
+      return "under-reserve-frame";
   }
   return "?";
 }
@@ -223,43 +225,54 @@ bool carries_const_immediate(BcOp op) {
 }
 
 // Offers every applicable mutation of `lowered` to `offer` in deterministic
-// (function, pc, kind) order; stops when `offer` returns true.
+// order — per function, its instruction sites in (pc, kind) order, then its
+// frame site (UnderReserveFrame, reported at pc 0) — and stops when `offer`
+// returns true.
 void walk_lowering(std::vector<BcFunc>& lowered,
                    const std::function<bool(LoweringMutationKind, uint32_t,
-                                            uint32_t, BcInstr&)>& offer) {
+                                            uint32_t, BcFunc&)>& offer) {
   for (uint32_t f = 0; f < lowered.size(); ++f) {
-    for (uint32_t pc = 0; pc < lowered[f].code.size(); ++pc) {
-      BcInstr& bi = lowered[f].code[pc];
+    BcFunc& bf = lowered[f];
+    for (uint32_t pc = 0; pc < bf.code.size(); ++pc) {
+      const BcInstr& bi = bf.code[pc];
       if (carries_const_immediate(bi.op)) {
-        if (offer(LoweringMutationKind::EditImmediate, f, pc, bi)) return;
+        if (offer(LoweringMutationKind::EditImmediate, f, pc, bf)) return;
       }
       if (bi.op == BcOp::EnterBlock && (bi.a != 0 || bi.b != 0)) {
-        if (offer(LoweringMutationKind::DropBlockCharge, f, pc, bi)) return;
+        if (offer(LoweringMutationKind::DropBlockCharge, f, pc, bf)) return;
       }
       if (bi.op == BcOp::GlobalAddConstI64 && bi.b != 0) {
-        if (offer(LoweringMutationKind::DropFusedCounterCharge, f, pc, bi)) {
+        if (offer(LoweringMutationKind::DropFusedCounterCharge, f, pc, bf)) {
           return;
         }
       }
       if (interp::bc_is_super(bi.op) && interp::bc_has_branch_target(bi.op) &&
           bi.target_pc != 0) {
-        if (offer(LoweringMutationKind::RetargetFusedBranch, f, pc, bi)) {
+        if (offer(LoweringMutationKind::RetargetFusedBranch, f, pc, bf)) {
           return;
         }
       }
+    }
+    if (bf.max_height != 0) {
+      if (offer(LoweringMutationKind::UnderReserveFrame, f, 0, bf)) return;
     }
   }
 }
 
 LoweringMutationSite make_site(LoweringMutationKind kind, uint32_t f,
-                               uint32_t pc, const BcInstr& bi) {
+                               uint32_t pc, const BcFunc& bf) {
   LoweringMutationSite site;
   site.kind = kind;
   site.function = f;
   site.pc = pc;
   std::ostringstream desc;
-  desc << to_string(kind) << " in defined func " << f << " at bc pc " << pc
-       << " (" << interp::to_string(bi.op) << ")";
+  desc << to_string(kind) << " in defined func " << f;
+  if (kind == LoweringMutationKind::UnderReserveFrame) {
+    desc << " (max height " << bf.max_height << ")";
+  } else {
+    desc << " at bc pc " << pc << " (" << interp::to_string(bf.code[pc].op)
+         << ")";
+  }
   site.description = desc.str();
   return site;
 }
@@ -269,10 +282,10 @@ LoweringMutationSite make_site(LoweringMutationKind kind, uint32_t f,
 std::vector<LoweringMutationSite> enumerate_lowering_mutations(
     const std::vector<BcFunc>& lowered) {
   std::vector<LoweringMutationSite> sites;
-  std::vector<BcFunc> copy = lowered;  // walker takes mutable instrs
+  std::vector<BcFunc> copy = lowered;  // walker takes mutable functions
   walk_lowering(copy, [&](LoweringMutationKind kind, uint32_t f, uint32_t pc,
-                          BcInstr& bi) {
-    sites.push_back(make_site(kind, f, pc, bi));
+                          BcFunc& bf) {
+    sites.push_back(make_site(kind, f, pc, bf));
     return false;
   });
   return sites;
@@ -283,9 +296,10 @@ std::vector<BcFunc> apply_lowering_mutation(const std::vector<BcFunc>& lowered,
   std::vector<BcFunc> mutated = lowered;
   size_t ordinal = 0;
   bool applied = false;
-  walk_lowering(mutated, [&](LoweringMutationKind kind, uint32_t, uint32_t,
-                             BcInstr& bi) {
+  walk_lowering(mutated, [&](LoweringMutationKind kind, uint32_t,
+                             uint32_t pc, BcFunc& bf) {
     if (ordinal++ != index) return false;
+    BcInstr& bi = bf.code[pc];
     switch (kind) {
       case LoweringMutationKind::EditImmediate:
         bi.b += 1;
@@ -302,6 +316,11 @@ std::vector<BcFunc> apply_lowering_mutation(const std::vector<BcFunc>& lowered,
         break;
       case LoweringMutationKind::RetargetFusedBranch:
         bi.target_pc = 0;  // entry block: plausible, but wrong control flow
+        break;
+      case LoweringMutationKind::UnderReserveFrame:
+        // The deepest push of the frame lands one slot past its
+        // reservation: in the next frame's locals, or past the buffer.
+        bf.max_height -= 1;
         break;
     }
     applied = true;

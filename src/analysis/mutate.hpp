@@ -57,8 +57,9 @@ wasm::Module apply_mutation(const wasm::Module& module, uint32_t counter_global,
 // lowered superinstruction stream an interpreter would actually execute.
 // Each mutant is a *structurally plausible* lowered module — it would run
 // and simply mis-account (a dropped batched charge, a zeroed fused counter
-// increment, a nudged fused immediate, a rewired fused branch) — so the
-// only line of defence is the AE's verify-then-bind check
+// increment, a nudged fused immediate, a rewired fused branch) or write
+// past its frame (an operand reservation one slot short) — so the only
+// line of defence is the AE's verify-then-bind check
 // (analysis::check_lowering), whose negative tests assert zero false
 // accepts over this corpus too.
 
@@ -67,6 +68,7 @@ enum class LoweringMutationKind : uint8_t {
   DropBlockCharge,         // zero an EnterBlock's batched accounting charge
   DropFusedCounterCharge,  // zero a GlobalAddConstI64 addend
   RetargetFusedBranch,     // point a fused compare+branch at the entry block
+  UnderReserveFrame,       // one slot off a function's BcFunc::max_height
 };
 
 const char* to_string(LoweringMutationKind kind);
@@ -74,12 +76,14 @@ const char* to_string(LoweringMutationKind kind);
 struct LoweringMutationSite {
   LoweringMutationKind kind = LoweringMutationKind::EditImmediate;
   uint32_t function = 0;  // defined-function index
-  uint32_t pc = 0;        // bytecode pc of the mutated instruction
+  uint32_t pc = 0;        // bytecode pc of the mutated instruction (0 for
+                          // UnderReserveFrame, which edits the function)
   std::string description;
 };
 
 /// Enumerates every applicable lowered-bytecode mutation site, in
-/// deterministic (function, pc, kind) order.
+/// deterministic order: per function, its instruction sites in (pc, kind)
+/// order, then its UnderReserveFrame site.
 std::vector<LoweringMutationSite> enumerate_lowering_mutations(
     const std::vector<interp::BcFunc>& lowered);
 

@@ -166,9 +166,9 @@ std::vector<FlatFunc> pass_coalesce_calls(
       std::optional<CoalesceFacts> facts =
           match_coalesce_callee(module, flat, op.a, counter_global);
       if (!facts) continue;
-      if (heights.empty()) heights = compute_stack_heights(module, ff);
-      if (heights[pc] == kUnknownHeight ||
-          heights[pc + 1] == kUnknownHeight) {
+      if (heights.empty()) heights = interp::operand_heights(module, ff);
+      if (heights[pc] == interp::kUnknownHeight ||
+          heights[pc + 1] == interp::kUnknownHeight) {
         continue;
       }
       sites.push_back({pc, std::move(*facts)});

@@ -49,98 +49,6 @@ std::optional<uint64_t> increment_amount_at(const std::vector<FlatOp>& code,
   return std::nullopt;
 }
 
-std::vector<uint32_t> compute_stack_heights(const wasm::Module& module,
-                                            const interp::FlatFunc& ff) {
-  const uint32_t n = static_cast<uint32_t>(ff.code.size());
-  std::vector<uint32_t> height(n, kUnknownHeight);
-  if (n == 0) return height;
-  std::vector<uint32_t> work;
-  auto set = [&](uint32_t pc, uint32_t h) {
-    if (pc >= n) return;
-    if (height[pc] == kUnknownHeight) {
-      height[pc] = h;
-      work.push_back(pc);
-    } else if (height[pc] != h) {
-      throw Error("opt: inconsistent stack height in flat code");
-    }
-  };
-  set(0, 0);
-  while (!work.empty()) {
-    const uint32_t pc = work.back();
-    work.pop_back();
-    const FlatOp& op = ff.code[pc];
-    const uint32_t h = height[pc];
-    if (interp::is_region_enter(op)) {
-      set(pc + 1, h);
-      set(op.target_pc, h);
-      continue;
-    }
-    switch (op.op) {
-      case Op::If:
-        set(pc + 1, h - 1);
-        set(op.target_pc, h - 1);
-        break;
-      case Op::Br:
-        set(op.target_pc, op.unwind + op.arity);
-        break;
-      case Op::BrIf:
-        set(pc + 1, h - 1);
-        set(op.target_pc, op.unwind + op.arity);
-        break;
-      case Op::BrTable:
-        for (const interp::BrTarget& t : ff.br_tables[op.a]) {
-          set(t.pc, t.unwind + t.arity);
-        }
-        break;
-      case Op::Return:
-      case Op::Unreachable:
-        break;
-      case Op::Call: {
-        const wasm::FuncType& ft = module.func_type(op.a);
-        set(pc + 1, h - static_cast<uint32_t>(ft.params.size()) +
-                        static_cast<uint32_t>(ft.results.size()));
-        break;
-      }
-      case Op::CallIndirect: {
-        const wasm::FuncType& ft = module.types.at(op.a);
-        set(pc + 1, h - 1 - static_cast<uint32_t>(ft.params.size()) +
-                        static_cast<uint32_t>(ft.results.size()));
-        break;
-      }
-      case Op::Drop:
-        set(pc + 1, h - 1);
-        break;
-      case Op::Select:
-        set(pc + 1, h - 2);
-        break;
-      case Op::LocalGet:
-      case Op::GlobalGet:
-        set(pc + 1, h + 1);
-        break;
-      case Op::LocalSet:
-      case Op::GlobalSet:
-        set(pc + 1, h - 1);
-        break;
-      case Op::LocalTee:
-      case Op::Block:  // structural markers retained by flatten; no effect
-      case Op::Loop:
-        set(pc + 1, h);
-        break;
-      default: {
-        const wasm::OpInfo& info = wasm::op_info(op.op);
-        const size_t colon = info.sig.find(':');
-        if (colon == std::string_view::npos) {
-          throw Error("opt: op without stack signature in flat code");
-        }
-        set(pc + 1, h - static_cast<uint32_t>(colon) +
-                        static_cast<uint32_t>(info.sig.size() - colon - 1));
-        break;
-      }
-    }
-  }
-  return height;
-}
-
 std::vector<FlatOp> coalesce_fast_body(
     const FlatFunc& callee, uint32_t nparams, uint32_t base,
     const std::vector<uint32_t>& increment_pcs) {

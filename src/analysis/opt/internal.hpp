@@ -27,14 +27,6 @@ std::optional<uint64_t> increment_amount_at(
     const std::vector<interp::FlatOp>& code, uint32_t pc,
     uint32_t counter_global);
 
-/// Per-pc operand-stack heights of a flat function, recovered by forward
-/// propagation from entry (heights are unique in valid wasm). Unreachable
-/// pcs keep the kUnknownHeight sentinel. Throws Error on an inconsistency,
-/// which would mean the flat code is not the flattening of a valid module.
-inline constexpr uint32_t kUnknownHeight = UINT32_MAX;
-std::vector<uint32_t> compute_stack_heights(const wasm::Module& module,
-                                            const interp::FlatFunc& ff);
-
 /// Everything a fold region charges, re-derived from a code range alone.
 struct FoldFacts {
   uint32_t lo = 0;  // loop head (first body pc)

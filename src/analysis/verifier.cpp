@@ -183,14 +183,14 @@ crypto::Digest cost_vector_digest(const std::vector<uint64_t>& costs) {
 }
 
 std::optional<std::string> check_lowering(
-    const std::vector<FlatFunc>& flat,
+    const wasm::Module& module, const std::vector<FlatFunc>& flat,
     const std::vector<interp::BcFunc>& lowered,
     const interp::LowerOptions& options, const crypto::Digest& digest) {
   // Independent re-derivation: lowering is a pure function of the verified
-  // flattened code and the options, so the only accepted lowered form is
-  // the one this process computes itself.
+  // flattened code, the module's signatures and the options, so the only
+  // accepted lowered form is the one this process computes itself.
   const std::vector<interp::BcFunc> expected =
-      interp::lower_module(flat, options);
+      interp::lower_module(module, flat, options);
   if (expected.size() != lowered.size()) {
     std::ostringstream out;
     out << "lowered function count " << lowered.size()
@@ -215,6 +215,10 @@ std::optional<std::string> check_lowering(
       out << " (" << got.size() << " instructions, expected " << want.size()
           << ")";
     }
+    if (expected[f].max_height != lowered[f].max_height) {
+      out << " (operand reservation " << lowered[f].max_height
+          << ", expected " << expected[f].max_height << ")";
+    }
     return out.str();
   }
   if (interp::lowering_digest(flat, lowered, options) != digest) {
@@ -227,7 +231,7 @@ std::optional<std::string> check_lowering(
 
 std::optional<std::string> check_lowering(
     const interp::CompiledModule& compiled) {
-  return check_lowering(compiled.flat(), compiled.lowered(),
+  return check_lowering(compiled.module(), compiled.flat(), compiled.lowered(),
                         compiled.lower_options(), compiled.lowering_digest());
 }
 

@@ -100,11 +100,12 @@ crypto::Digest cost_vector_digest(const std::vector<uint64_t>& costs);
 /// flattened code with the recorded options and requires the module's
 /// lowered form and its digest to match exactly, so a tampered lowering
 /// (edited immediate, dropped block or fused counter charge, retargeted
-/// branch — see enumerate_lowering_mutations) can never execute under a
-/// verified identity. Returns an error description, or nullopt when the
-/// lowering is bound.
+/// branch, under-reserved frame — see enumerate_lowering_mutations) can
+/// never execute under a verified identity. `module` supplies the call
+/// signatures the frame reservation is re-derived from. Returns an error
+/// description, or nullopt when the lowering is bound.
 std::optional<std::string> check_lowering(
-    const std::vector<interp::FlatFunc>& flat,
+    const wasm::Module& module, const std::vector<interp::FlatFunc>& flat,
     const std::vector<interp::BcFunc>& lowered,
     const interp::LowerOptions& options, const crypto::Digest& digest);
 

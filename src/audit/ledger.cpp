@@ -181,14 +181,7 @@ Ledger Ledger::deserialize(BytesView data) {
   }
   Ledger ledger(static_cast<size_t>(r.u64("checkpoint_every")));
   ledger.ae_identity_ = r.digest("ae identity");
-  // The declared counts are untrusted: cap each reserve by what the bytes
-  // remaining after the header could possibly hold (an entry serializes to
-  // at least four length prefixes, a checkpoint to three u64s, two digests
-  // and a length prefix), so a tiny crafted file declaring 2^60 entries
-  // fails as truncated instead of triggering an exabyte allocation.
   uint64_t entry_count = r.u64("entry count");
-  ledger.entries_.reserve(
-      std::min<uint64_t>(entry_count, (data.size() - r.off) / 16));
   for (uint64_t i = 0; i < entry_count; ++i) {
     LedgerEntry entry;
     entry.tenant = r.string("tenant");
@@ -199,6 +192,11 @@ Ledger Ledger::deserialize(BytesView data) {
         crypto::Signature::deserialize(r.sized("signature"));
     ledger.entries_.push_back(std::move(entry));
   }
+  // The declared count is untrusted: cap the reserve by what the remaining
+  // bytes could possibly hold (a checkpoint serializes to three u64s, two
+  // digests and a length prefix), so a tiny crafted file declaring 2^60
+  // checkpoints fails as truncated instead of triggering an exabyte
+  // allocation.
   uint64_t checkpoint_count = r.u64("checkpoint count");
   ledger.checkpoints_.reserve(
       std::min<uint64_t>(checkpoint_count, (data.size() - r.off) / 92));

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <string>
@@ -92,7 +93,7 @@ class Ledger {
   /// everything is covered or no signer is set).
   void seal();
 
-  const std::vector<LedgerEntry>& entries() const { return entries_; }
+  const std::deque<LedgerEntry>& entries() const { return entries_; }
   const std::vector<Checkpoint>& checkpoints() const { return checkpoints_; }
   size_t checkpoint_every() const { return checkpoint_every_; }
 
@@ -113,7 +114,9 @@ class Ledger {
   size_t checkpoint_every_;
   crypto::Digest ae_identity_{};
   CheckpointSigner signer_;
-  std::vector<LedgerEntry> entries_;
+  // A deque, so an append never relocates the entries already held (each
+  // carries a ~25 KB Lamport key and signature inline).
+  std::deque<LedgerEntry> entries_;
   std::vector<Checkpoint> checkpoints_;
   uint64_t covered_ = 0;  // entries committed by checkpoints so far
 };

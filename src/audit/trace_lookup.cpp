@@ -9,7 +9,7 @@ std::vector<TraceMatch> find_by_trace(const std::vector<const Ledger*>& ledgers,
   std::vector<TraceMatch> matches;
   if ((trace_hi | trace_lo) == 0) return matches;  // zero = "untraced"
   for (size_t li = 0; li < ledgers.size(); ++li) {
-    const std::vector<LedgerEntry>& entries = ledgers[li]->entries();
+    const std::deque<LedgerEntry>& entries = ledgers[li]->entries();
     for (size_t ei = 0; ei < entries.size(); ++ei) {
       const core::ResourceUsageLog& log = entries[ei].signed_log.log;
       if (log.trace_hi == trace_hi && log.trace_lo == trace_lo) {

@@ -36,7 +36,7 @@ std::string VerifyReport::to_string() const {
 VerifyReport verify_ledger(const Ledger& ledger,
                            const crypto::Digest& ae_identity) {
   VerifyReport report;
-  const std::vector<LedgerEntry>& entries = ledger.entries();
+  const std::deque<LedgerEntry>& entries = ledger.entries();
   auto problem = [&](std::string text) {
     report.problems.push_back(std::move(text));
   };

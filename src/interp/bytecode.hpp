@@ -95,6 +95,11 @@ struct BcFunc {
   std::vector<BcInstr> code;  // starts with the entry block's EnterBlock
   // br_table targets with pcs remapped to bytecode pcs.
   std::vector<std::vector<BrTarget>> br_tables;
+  // The frame's operand reservation: the exact maximum operand height
+  // (interp::max_operand_height over the flat code this was lowered from,
+  // after any §19 transform). Instance::enter_frame reserves this many
+  // slots above the locals, so the run loop's pushes never check capacity.
+  uint32_t max_height = 0;
 
   friend bool operator==(const BcFunc&, const BcFunc&) = default;
 };

@@ -15,7 +15,7 @@ CompiledModule::CompiledModule(wasm::Module module, CompileOptions options)
     flat_.push_back(flatten(module_, func));
   }
   lower_options_ = options.lower;
-  lowered_ = lower_module(flat_, options.lower);
+  lowered_ = lower_module(module_, flat_, options.lower);
   lowering_digest_ = interp::lowering_digest(flat_, lowered_, options.lower);
 }
 
@@ -29,7 +29,7 @@ CompiledModule::CompiledModule(wasm::Module module,
       validated_(validated),
       optimised_(true) {
   lower_options_ = options.lower;
-  lowered_ = lower_module(flat_, options.lower);
+  lowered_ = lower_module(module_, flat_, options.lower);
   lowering_digest_ = interp::lowering_digest(flat_, lowered_, options.lower);
 }
 

@@ -351,4 +351,107 @@ FlatFunc flatten(const wasm::Module& module, const wasm::Function& func) {
   return ff;
 }
 
+std::vector<uint32_t> operand_heights(const wasm::Module& module,
+                                      const FlatFunc& ff) {
+  const uint32_t n = static_cast<uint32_t>(ff.code.size());
+  std::vector<uint32_t> height(n, kUnknownHeight);
+  if (n == 0) return height;
+  std::vector<uint32_t> work;
+  auto set = [&](uint32_t pc, uint32_t h) {
+    if (pc >= n) return;
+    if (height[pc] == kUnknownHeight) {
+      height[pc] = h;
+      work.push_back(pc);
+    } else if (height[pc] != h) {
+      throw Error("flat code: inconsistent operand height");
+    }
+  };
+  // Falls through to pc + 1 after popping `pops` and pushing `pushes`.
+  auto step = [&](uint32_t pc, uint32_t h, size_t pops, size_t pushes) {
+    if (h < pops) throw Error("flat code: pop below the operand base");
+    set(pc + 1, h - static_cast<uint32_t>(pops) +
+                    static_cast<uint32_t>(pushes));
+  };
+  set(0, 0);
+  while (!work.empty()) {
+    const uint32_t pc = work.back();
+    work.pop_back();
+    const FlatOp& op = ff.code[pc];
+    const uint32_t h = height[pc];
+    if (is_region_enter(op)) {
+      set(pc + 1, h);
+      set(op.target_pc, h);
+      continue;
+    }
+    switch (op.op) {
+      case Op::If:
+        step(pc, h, 1, 0);
+        set(op.target_pc, h - 1);
+        break;
+      case Op::Br:
+        set(op.target_pc, op.unwind + op.arity);
+        break;
+      case Op::BrIf:
+        step(pc, h, 1, 0);
+        set(op.target_pc, op.unwind + op.arity);
+        break;
+      case Op::BrTable:
+        for (const BrTarget& t : ff.br_tables[op.a]) {
+          set(t.pc, t.unwind + t.arity);
+        }
+        break;
+      case Op::Return:
+      case Op::Unreachable:
+        break;
+      case Op::Call: {
+        const wasm::FuncType& ft = module.func_type(op.a);
+        step(pc, h, ft.params.size(), ft.results.size());
+        break;
+      }
+      case Op::CallIndirect: {
+        const wasm::FuncType& ft = module.types.at(op.a);
+        step(pc, h, 1 + ft.params.size(), ft.results.size());
+        break;
+      }
+      case Op::Drop:
+        step(pc, h, 1, 0);
+        break;
+      case Op::Select:
+        step(pc, h, 3, 1);
+        break;
+      case Op::LocalGet:
+      case Op::GlobalGet:
+        step(pc, h, 0, 1);
+        break;
+      case Op::LocalSet:
+      case Op::GlobalSet:
+        step(pc, h, 1, 0);
+        break;
+      case Op::LocalTee:
+      case Op::Block:  // structural markers retained by flatten; no effect
+      case Op::Loop:
+        step(pc, h, 0, 0);
+        break;
+      default: {
+        const wasm::OpInfo& info = op_info(op.op);
+        const size_t colon = info.sig.find(':');
+        if (colon == std::string_view::npos) {
+          throw Error("flat code: op without stack signature");
+        }
+        step(pc, h, colon, info.sig.size() - colon - 1);
+        break;
+      }
+    }
+  }
+  return height;
+}
+
+uint32_t max_operand_height(const wasm::Module& module, const FlatFunc& ff) {
+  uint32_t max = 0;
+  for (uint32_t h : operand_heights(module, ff)) {
+    if (h != kUnknownHeight && h > max) max = h;
+  }
+  return max;
+}
+
 }  // namespace acctee::interp

@@ -160,4 +160,22 @@ FlatFunc flatten(const wasm::Module& module, const wasm::Function& func);
 /// the optimisation pipeline (analysis/opt) re-calls it after editing code.
 void compute_block_costs(FlatFunc& ff);
 
+/// Per-pc operand-stack heights of a flat function: the number of operand
+/// slots above the frame's locals just before the op at that pc runs,
+/// recovered by forward propagation from entry. `call`/`call_indirect`
+/// effects come from the module's types, a branch target's height is the
+/// branch's `unwind + arity`, and a region-enter marker reaches its slow
+/// copy at its own height (heights are unique in valid wasm). Unreachable
+/// pcs keep the kUnknownHeight sentinel. Throws Error on an inconsistency
+/// or a pop below the frame's operand base, which would mean the flat code
+/// is not the (optionally §19-transformed) flattening of a valid module.
+inline constexpr uint32_t kUnknownHeight = UINT32_MAX;
+std::vector<uint32_t> operand_heights(const wasm::Module& module,
+                                      const FlatFunc& ff);
+
+/// The largest reachable entry of operand_heights(): the exact maximum
+/// operand height any execution of `ff` reaches, which lowering records as
+/// the function's frame reservation (BcFunc::max_height).
+uint32_t max_operand_height(const wasm::Module& module, const FlatFunc& ff);
+
 }  // namespace acctee::interp

@@ -1,5 +1,6 @@
 #include "interp/instance.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -142,7 +143,8 @@ Instance::Instance(CompiledModulePtr compiled, ImportMap imports,
 
 void Instance::reset() {
   // Mirror of the constructor's instantiation steps, reusing the existing
-  // allocations (memory backing store, stack/frame capacity, cache arrays).
+  // allocations (memory backing store, stack buffer and frame capacity,
+  // cache arrays).
   // Import links are unchanged: the map and the module both outlive resets.
   if (memory_ != nullptr) {
     memory_->reset();
@@ -160,7 +162,7 @@ void Instance::reset() {
   }
   globals_.clear();
   for (const auto& g : mod().globals) globals_.push_back(g.init.imm);
-  stack_.clear();
+  sp_ = 0;
   frames_.clear();
   cache_.reset();
   stats_ = ExecStats{};
@@ -209,21 +211,23 @@ Values Instance::invoke_index(uint32_t func_index, const Values& args) {
     throw LinkError("cannot invoke an imported function directly");
   }
 
-  const size_t stack_mark = stack_.size();
+  const size_t stack_mark = sp_;
   const size_t frame_mark = frames_.size();
+  if (sp_ + args.size() > stack_.size()) grow_stack(sp_ + args.size());
   for (const auto& a : args) push_raw(a.bits);
   try {
     enter_frame(func_index - static_cast<uint32_t>(mod().imports.size()));
     run(frames_.size());
   } catch (...) {
     // run() has already un-charged the never-executed suffix (which reads
-    // frames_.back()), so the instruction count is final: fold the tail of
-    // the memory-size integral, as a return does. Then unwind the frames
-    // and operand-stack slots the trapped call left, so the instance stays
-    // usable.
+    // frames_.back(), whose pc the run loop wrote back), so the instruction
+    // count is final: fold the tail of the memory-size integral, as a
+    // return does. Then unwind the frames and the operand-stack height the
+    // trapped call left (the loop does not write its stack pointer back on
+    // a trap), so the instance stays usable.
     note_memory_growth();
     frames_.resize(frame_mark);
-    stack_.resize(stack_mark);
+    sp_ = stack_mark;
     throw;
   }
 
@@ -258,14 +262,24 @@ void Instance::enter_frame(uint32_t defined_index) {
     throw TrapError("call stack exhausted");
   }
   const FlatFunc& ff = flat()[defined_index];
+  const size_t locals = ff.local_types.size() - ff.num_params;
+  // The frame reservation: its non-parameter locals plus the exact maximum
+  // operand height, so no push inside the frame needs a capacity check.
+  const size_t needed = sp_ + locals + lowered()[defined_index].max_height;
+  if (needed > stack_.size()) grow_stack(needed);
   Frame frame;
   frame.func = defined_index;
   frame.pc = 0;
-  frame.locals_base = static_cast<uint32_t>(stack_.size() - ff.num_params);
+  frame.locals_base = static_cast<uint32_t>(sp_ - ff.num_params);
   // Zero-initialise non-parameter locals.
-  stack_.resize(stack_.size() + ff.local_types.size() - ff.num_params, 0);
-  frame.operand_base = static_cast<uint32_t>(stack_.size());
+  std::fill_n(stack_.begin() + static_cast<ptrdiff_t>(sp_), locals, 0);
+  sp_ += locals;
+  frame.operand_base = static_cast<uint32_t>(sp_);
   frames_.push_back(frame);
+}
+
+void Instance::grow_stack(size_t slots) {
+  stack_.resize(std::max(slots, 2 * stack_.size()));
 }
 
 void Instance::call_host(uint32_t import_index) {
@@ -296,17 +310,6 @@ void Instance::call_host(uint32_t import_index) {
     }
     push_raw(results[i].bits);
   }
-}
-
-void Instance::do_branch(Frame& frame, uint32_t target_pc, uint32_t unwind,
-                         uint8_t arity) {
-  size_t keep_from = stack_.size() - arity;
-  size_t new_top = frame.operand_base + unwind;
-  for (uint8_t i = 0; i < arity; ++i) {
-    stack_[new_top + i] = stack_[keep_from + i];
-  }
-  stack_.resize(new_top + arity);
-  frame.pc = target_pc;
 }
 
 void Instance::charge_memory(uint64_t effective_addr, uint32_t size,

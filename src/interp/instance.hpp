@@ -11,6 +11,7 @@
 //     instrumented counters are tested against).
 #pragma once
 
+#include <cassert>
 #include <memory>
 #include <optional>
 
@@ -104,14 +105,17 @@ class Instance {
   /// be reused for another request instead of being re-instantiated (the
   /// sharded gateway's per-worker freelists, DESIGN.md §16): linear memory
   /// back to its initial pages with data segments re-applied, globals and
-  /// table re-initialised, operand stack and frames cleared (capacity
-  /// kept — that is the speedup), simulated caches cold, ExecStats zeroed,
-  /// and any checkpoint handler detached; the start function, if present,
-  /// re-runs just as construction ran it. A reset instance produces
-  /// bit-identical ExecStats, checkpoints and signed logs to a freshly
-  /// constructed one (tested in tests/interp_test.cpp and
-  /// tests/faas_test.cpp). Imports stay bound — the host channel object
-  /// must be reset by the caller for the next request.
+  /// table re-initialised, operand-stack height and frames back to zero
+  /// (the stack buffer and frame vector keep their capacity — that is the
+  /// speedup; stale slots are never read, because enter_frame zeroes each
+  /// frame's locals and operands are written before they are read),
+  /// simulated caches cold, ExecStats zeroed, and any checkpoint handler
+  /// detached; the start function, if present, re-runs just as
+  /// construction ran it. A reset instance produces bit-identical
+  /// ExecStats, checkpoints and signed logs to a freshly constructed one
+  /// (tested in tests/interp_test.cpp and tests/faas_test.cpp). Imports
+  /// stay bound — the host channel object must be reset by the caller for
+  /// the next request.
   void reset();
 
   /// Calls an exported function. Throws LinkError on unknown export or
@@ -138,9 +142,12 @@ class Instance {
  private:
   struct Frame {
     uint32_t func = 0;          // defined-function index
+    // Bytecode pc. The run loop keeps the live pc in a local and stores it
+    // here only at a call (the return address) and when a trap leaves the
+    // loop (the trapping instruction, for uncharge_block_suffix).
     uint32_t pc = 0;
     uint32_t locals_base = 0;   // index into stack_
-    uint32_t operand_base = 0;
+    uint32_t operand_base = 0;  // index into stack_: first operand slot
   };
 
   void run(size_t stop_depth);
@@ -148,10 +155,13 @@ class Instance {
   // carries no profiling code at all.
   void run_loop(size_t stop_depth);
   void run_loop_profiled(size_t stop_depth);
+  // Pushes a frame for a defined function whose arguments are the top
+  // num_params slots: zeroes its other locals and makes sure the buffer
+  // holds the frame's reservation (locals + BcFunc::max_height operands),
+  // growing it geometrically. May reallocate stack_ and frames_.
   void enter_frame(uint32_t defined_index);
+  void grow_stack(size_t slots);
   void call_host(uint32_t import_index);
-  void do_branch(Frame& frame, uint32_t target_pc, uint32_t unwind,
-                 uint8_t arity);
   void charge_memory(uint64_t effective_addr, uint32_t size, bool is_write);
   void note_memory_growth();
   void account_instruction(const FlatOp& op);
@@ -171,13 +181,16 @@ class Instance {
   // non-trapping-constituents rule in bytecode.def).
   void uncharge_block_suffix() noexcept;
 
-  // -- operand stack helpers --
-  void push_raw(uint64_t v) { stack_.push_back(v); }
-  uint64_t pop_raw() {
-    uint64_t v = stack_.back();
-    stack_.pop_back();
-    return v;
+  // -- operand stack, member path --
+  // For invoke_index's arguments and results and call_host's; the run loop
+  // pushes and pops through its own local stack pointer and writes it back
+  // to sp_ before a call and on return. Capacity is the caller's job
+  // (a frame reservation, or invoke_index's reserve for its arguments).
+  void push_raw(uint64_t v) {
+    assert(sp_ < stack_.size());
+    stack_[sp_++] = v;
   }
+  uint64_t pop_raw() { return stack_[--sp_]; }
 
   // -- immutable, shared across instances --
   const wasm::Module& mod() const { return compiled_->module(); }
@@ -192,7 +205,11 @@ class Instance {
   std::unique_ptr<LinearMemory> memory_;
   std::vector<uint64_t> globals_;
   std::vector<int64_t> table_;  // function indices; -1 = null entry
+  // Locals and operands of every frame. size() is the capacity: the buffer
+  // grows only when a frame is entered (or invoke_index pushes arguments),
+  // never on a push. sp_ is the height, one past the top slot.
   std::vector<uint64_t> stack_;
+  size_t sp_ = 0;
   std::vector<Frame> frames_;
   cachesim::Hierarchy cache_;
   ExecStats stats_;

@@ -292,7 +292,8 @@ uint32_t try_fuse(const FlatFunc& ff, uint32_t i, uint32_t end,
 
 }  // namespace
 
-BcFunc lower_function(const FlatFunc& ff, const LowerOptions& options) {
+BcFunc lower_function(const wasm::Module& module, const FlatFunc& ff,
+                      const LowerOptions& options) {
   BcFunc out;
   out.code.reserve(ff.code.size() + ff.blocks.size());
   // bc pc of each flat block head (branches land on the EnterBlock).
@@ -380,14 +381,21 @@ BcFunc lower_function(const FlatFunc& ff, const LowerOptions& options) {
       t.pc = mapped;
     }
   }
+  // Over the flat code actually lowered: a §19 coalesce region inlines a
+  // leaf callee's operands into this frame, so an optimised function can
+  // need more slots than its baseline flattening.
+  out.max_height = max_operand_height(module, ff);
   return out;
 }
 
-std::vector<BcFunc> lower_module(const std::vector<FlatFunc>& flat,
+std::vector<BcFunc> lower_module(const wasm::Module& module,
+                                 const std::vector<FlatFunc>& flat,
                                  const LowerOptions& options) {
   std::vector<BcFunc> out;
   out.reserve(flat.size());
-  for (const FlatFunc& ff : flat) out.push_back(lower_function(ff, options));
+  for (const FlatFunc& ff : flat) {
+    out.push_back(lower_function(module, ff, options));
+  }
   return out;
 }
 

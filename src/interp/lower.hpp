@@ -26,21 +26,29 @@ struct LowerOptions {
   friend bool operator==(const LowerOptions&, const LowerOptions&) = default;
 };
 
-/// Lowers one flattened function. Every basic block becomes an EnterBlock
-/// instruction (carrying the block's batched accounting charge inline)
-/// followed by the block's ops, greedily fused per bytecode.def when
-/// `options.fuse` is set. Branch targets and br_tables are remapped to
-/// bytecode pcs (branches land on the target block's EnterBlock).
-BcFunc lower_function(const FlatFunc& flat, const LowerOptions& options);
+/// Lowers one flattened function of `module`. Every basic block becomes an
+/// EnterBlock instruction (carrying the block's batched accounting charge
+/// inline) followed by the block's ops, greedily fused per bytecode.def
+/// when `options.fuse` is set. Branch targets and br_tables are remapped to
+/// bytecode pcs (branches land on the target block's EnterBlock). The
+/// module supplies the call signatures the frame reservation
+/// (BcFunc::max_height) is computed from.
+BcFunc lower_function(const wasm::Module& module, const FlatFunc& flat,
+                      const LowerOptions& options);
 
-/// Lowers every defined function of a module.
-std::vector<BcFunc> lower_module(const std::vector<FlatFunc>& flat,
+/// Lowers every defined function of a module (`flat` parallel to
+/// module.functions, possibly §19-transformed).
+std::vector<BcFunc> lower_module(const wasm::Module& module,
+                                 const std::vector<FlatFunc>& flat,
                                  const LowerOptions& options);
 
 /// Canonical digest binding a lowered module to the flattened form it was
 /// derived from (domain-separated SHA-256 over a deterministic
 /// serialization of both representations and the lowering options).
 /// Recorded by CompiledModule and checked in the AE's verify_counters path.
+/// BcFunc::max_height is not serialized: it is a function of the flat
+/// code and the module's signatures, and check_lowering binds it by
+/// comparing against its own re-lowering.
 crypto::Digest lowering_digest(const std::vector<FlatFunc>& flat,
                                const std::vector<BcFunc>& lowered,
                                const LowerOptions& options);

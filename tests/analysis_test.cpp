@@ -630,7 +630,7 @@ TEST(LoweringMutation, EnumerationIsDeterministicAndCoversAllKinds) {
       seen.push_back(a[i].kind);
     }
   }
-  EXPECT_EQ(seen.size(), 4u)
+  EXPECT_EQ(seen.size(), 5u)
       << "corpus does not exercise all lowering-mutation kinds";
 
   auto m1 = apply_lowering_mutation(compiled->lowered(), 0);
@@ -652,15 +652,15 @@ TEST(LoweringMutation, ZeroFalseAcceptsAcrossFullCorpus) {
 
     // Control: the genuine lowering binds.
     EXPECT_FALSE(check_lowering(*compiled).has_value());
-    EXPECT_FALSE(check_lowering(compiled->flat(), compiled->lowered(),
-                                compiled->lower_options(),
+    EXPECT_FALSE(check_lowering(compiled->module(), compiled->flat(),
+                                compiled->lowered(), compiled->lower_options(),
                                 compiled->lowering_digest())
                      .has_value());
 
     auto corpus = enumerate_lowering_mutations(compiled->lowered());
     for (size_t i = 0; i < corpus.size(); ++i) {
       auto mutant = apply_lowering_mutation(compiled->lowered(), i);
-      auto err = check_lowering(compiled->flat(), mutant,
+      auto err = check_lowering(compiled->module(), compiled->flat(), mutant,
                                 compiled->lower_options(),
                                 compiled->lowering_digest());
       EXPECT_TRUE(err.has_value())
@@ -684,7 +684,7 @@ TEST(LoweringMutation, ForgedDigestDoesNotLaunderATamperedStream) {
   auto mutant = apply_lowering_mutation(compiled->lowered(), 0);
   crypto::Digest laundered = interp::lowering_digest(
       compiled->flat(), mutant, compiled->lower_options());
-  auto err = check_lowering(compiled->flat(), mutant,
+  auto err = check_lowering(compiled->module(), compiled->flat(), mutant,
                             compiled->lower_options(), laundered);
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find("differs"), std::string::npos) << *err;

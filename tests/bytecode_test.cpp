@@ -7,9 +7,12 @@
 // lowering), over real workloads and on every trap path (mid-block traps
 // inside fused regions, instruction-limit exhaustion), and the signed log of
 // a trapped run does not depend on profiling. Plus the structural invariants
-// of the lowered form and the determinism of the binding digest.
+// of the lowered form, the determinism of the binding digest, the frame
+// reservation, and every point where the run loop writes its state back.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "core/accounting_enclave.hpp"
@@ -415,6 +418,227 @@ TEST(Bytecode, TrappedSignedLogsByteIdenticalWithProfiler) {
   EXPECT_EQ(profiled.signed_log.signature.serialize(),
             reference.signed_log.signature.serialize());
   EXPECT_EQ(profiled.trap_message, reference.trap_message);
+}
+
+// ---------------------------------------------------------------------------
+// Frame reservation: BcFunc::max_height on hand-built functions with known
+// answers. Every function is also run, so in a build without NDEBUG each
+// push is checked against the reservation.
+// ---------------------------------------------------------------------------
+
+CompiledModulePtr compile_wat(std::string_view wat) {
+  return compile(wasm::parse_wat(wat));
+}
+
+uint32_t reserved(const CompiledModule& compiled, std::string_view name) {
+  const uint32_t index =
+      compiled.module().find_export(name, wasm::ExternKind::Func).value();
+  return compiled
+      .lowered_func(index -
+                    static_cast<uint32_t>(compiled.module().imports.size()))
+      .max_height;
+}
+
+TEST(FrameReservation, DeepExpression) {
+  CompiledModulePtr compiled = compile_wat(R"((module
+    (func (export "deep") (result i32)
+      i32.const 1 i32.const 2 i32.const 3 i32.const 4 i32.const 5
+      i32.add i32.add i32.add i32.add)
+    (func (export "flat") (result i32) i32.const 1)
+    (func (export "empty"))))");
+  EXPECT_EQ(reserved(*compiled, "deep"), 5u);
+  EXPECT_EQ(reserved(*compiled, "flat"), 1u);
+  EXPECT_EQ(reserved(*compiled, "empty"), 0u);
+  Instance inst(compiled, {}, Instance::Options{.cache_model = false});
+  EXPECT_EQ(inst.invoke("deep").at(0).i32(), 15);
+  EXPECT_EQ(inst.invoke("flat").at(0).i32(), 1);
+  EXPECT_TRUE(inst.invoke("empty").empty());
+}
+
+// A branch target's height is the branch's unwind + arity, not the height
+// the branch left from: code reached only through a branch starts low.
+TEST(FrameReservation, BlockAndIfResultsCarriedByBranches) {
+  CompiledModulePtr compiled = compile_wat(R"((module
+    (func (export "carry") (param i32) (result i32)
+      (block $b (result i32)
+        i32.const 1 i32.const 2 i32.const 3  ;; height 3
+        local.get 0                          ;; height 4
+        br_table $b $b)                      ;; carries 3 to height 1
+      i32.const 10 i32.const 20 i32.const 30 ;; height 4 again, not 6
+      i32.add i32.add i32.add)
+    (func (export "pick") (param i32) (result i32)
+      i32.const 5                            ;; height 1
+      local.get 0
+      (if (result i32)
+        (then i32.const 1 i32.const 2 i32.add)  ;; height 3 at the peak
+        (else i32.const 9 br 0))                ;; carries 9 to height 2
+      i32.add)))");
+  EXPECT_EQ(reserved(*compiled, "carry"), 4u);
+  EXPECT_EQ(reserved(*compiled, "pick"), 3u);
+  Instance inst(compiled, {}, Instance::Options{.cache_model = false});
+  EXPECT_EQ(inst.invoke("carry", {TypedValue::make_i32(0)}).at(0).i32(), 63);
+  EXPECT_EQ(inst.invoke("carry", {TypedValue::make_i32(5)}).at(0).i32(), 63);
+  EXPECT_EQ(inst.invoke("pick", {TypedValue::make_i32(1)}).at(0).i32(), 8);
+  EXPECT_EQ(inst.invoke("pick", {TypedValue::make_i32(0)}).at(0).i32(), 14);
+}
+
+// A call pops the callee's parameters and pushes its results in the
+// caller's frame; the callee's own frame reserves only its own height.
+TEST(FrameReservation, CallToCalleeWithParamsAndResult) {
+  CompiledModulePtr compiled = compile_wat(R"((module
+    (func $mix (export "mix") (param i32 i32 i32) (result i32)
+      local.get 0 local.get 1 i32.mul local.get 2 i32.add)
+    (func $seven (export "seven") (result i32) i32.const 7)
+    (func (export "caller") (result i32)
+      i32.const 100                          ;; height 1
+      i32.const 3 i32.const 4 i32.const 5    ;; height 4
+      call $mix                              ;; height 2
+      i32.add)
+    (func (export "more_results") (result i32)
+      i32.const 1
+      call $seven                            ;; height 2
+      call $seven                            ;; height 3
+      i32.add i32.add)))");
+  EXPECT_EQ(reserved(*compiled, "mix"), 2u);
+  EXPECT_EQ(reserved(*compiled, "seven"), 1u);
+  EXPECT_EQ(reserved(*compiled, "caller"), 4u);
+  EXPECT_EQ(reserved(*compiled, "more_results"), 3u);
+  Instance inst(compiled, {}, Instance::Options{.cache_model = false});
+  EXPECT_EQ(inst.invoke("caller").at(0).i32(), 117);
+  EXPECT_EQ(inst.invoke("more_results").at(0).i32(), 15);
+}
+
+// ---------------------------------------------------------------------------
+// Write-back points: the run loop keeps pc and stack pointer in locals and
+// stores them only at calls, at the return that leaves the loop, and when a
+// trap leaves it. Each case compares every backend against the oracle mode
+// and then reuses the instance.
+// ---------------------------------------------------------------------------
+
+// Runs `steps` on one instance per backend and requires the stats after
+// every step to equal the oracle's after the same step.
+void expect_steps_match_oracle(
+    const wasm::Module& module, const std::function<ImportMap()>& imports,
+    const std::vector<std::function<void(Instance&)>>& steps) {
+  std::vector<ExecStats> reference;
+  for (const Backend& b : backends()) {
+    SCOPED_TRACE(b.name);
+    Instance inst(compile_for(module, b), imports(), backend_options(b));
+    for (size_t i = 0; i < steps.size(); ++i) {
+      steps[i](inst);
+      EXPECT_TRUE(inst.stats().per_op_conserved());
+      if (reference.size() < steps.size()) {
+        reference.push_back(inst.stats());
+      } else {
+        expect_stats_equal(inst.stats(), reference[i],
+                           ("step " + std::to_string(i)).c_str());
+      }
+    }
+  }
+}
+
+TEST(Writeback, TrapThreeFramesDeepUnwindsEveryCallerFrame) {
+  // run → top → mid → div; every caller holds live operands across its
+  // call, and div traps when its divisor is 0.
+  wasm::Module module = wasm::parse_wat(R"((module
+    (func $div (param i32 i32) (result i32)
+      i32.const 1000
+      local.get 0 local.get 1 i32.div_s
+      i32.add)
+    (func $mid (param i32) (result i32)
+      i32.const 100 i32.const 200
+      i32.const 7 local.get 0 call $div
+      i32.add i32.add)
+    (func $top (param i32) (result i32)
+      i32.const 10 i32.const 20 i32.const 30
+      local.get 0 call $mid
+      i32.add i32.add i32.add)
+    (func (export "run") (param i32) (result i32)
+      i32.const 1 i32.const 2
+      local.get 0 call $top
+      i32.add i32.add)))");
+  wasm::validate(module);
+  auto trap = [](Instance& inst) {
+    EXPECT_THROW(inst.invoke("run", {TypedValue::make_i32(0)}), TrapError);
+  };
+  auto ok = [](Instance& inst) {
+    EXPECT_EQ(inst.invoke("run", {TypedValue::make_i32(7)}).at(0).i32(),
+              1364);
+  };
+  expect_steps_match_oracle(
+      module, [] { return ImportMap{}; }, {trap, ok, trap, ok});
+}
+
+TEST(Writeback, HostTrapInsideABlockWithLiveOperands) {
+  wasm::Module module = wasm::parse_wat(R"((module
+    (import "env" "check" (func $check (param i32) (result i32)))
+    (func $inner (param i32) (result i32)
+      (block (result i32)
+        i32.const 3 i32.const 4
+        local.get 0 call $check
+        i32.add i32.add))
+    (func (export "run") (param i32) (result i32)
+      i32.const 50
+      local.get 0 call $inner
+      i32.add)))");
+  wasm::validate(module);
+  auto imports = [] {
+    ImportMap map;
+    map.add("env", "check",
+            wasm::FuncType{{wasm::ValType::I32}, {wasm::ValType::I32}},
+            [](std::span<const TypedValue> args, HostContext&) -> Values {
+              if (args[0].i32() == 0) throw TrapError("host refused");
+              return {TypedValue::make_i32(args[0].i32() * 2)};
+            });
+    return map;
+  };
+  auto trap = [](Instance& inst) {
+    EXPECT_THROW(inst.invoke("run", {TypedValue::make_i32(0)}), TrapError);
+  };
+  auto ok = [](Instance& inst) {
+    EXPECT_EQ(inst.invoke("run", {TypedValue::make_i32(5)}).at(0).i32(), 67);
+  };
+  expect_steps_match_oracle(module, imports, {trap, ok, trap, ok});
+}
+
+// 1500 frames of three locals plus operands take ~9000 slots: from a fresh
+// instance's empty buffer that is a dozen geometric growths, each of which
+// moves every frame below. reset() keeps the grown buffer; the repeated call
+// must bill exactly what the first one did.
+TEST(Writeback, DeepRecursionGrowsTheBufferThenResetRepeatsIt) {
+  wasm::Module module = wasm::parse_wat(R"((module
+    (func $sum (param i32) (result i64)
+      (local i64 i64)
+      local.get 0
+      i32.eqz
+      if (result i64)
+        i64.const 0
+      else
+        local.get 0 i64.extend_i32_u
+        local.get 0 i32.const 1 i32.sub call $sum
+        i64.add
+      end)
+    (func (export "run") (param i32) (result i64)
+      local.get 0 call $sum)))");
+  wasm::validate(module);
+  const Values args = {TypedValue::make_i32(1500)};
+  ExecStats oracle_stats;
+  bool have_oracle = false;
+  for (const Backend& b : backends()) {
+    SCOPED_TRACE(b.name);
+    Instance inst(compile_for(module, b), {}, backend_options(b));
+    EXPECT_EQ(inst.invoke("run", args).at(0).i64(), 1500 * 1501 / 2);
+    const ExecStats first = inst.stats();
+    inst.reset();
+    EXPECT_EQ(inst.invoke("run", args).at(0).i64(), 1500 * 1501 / 2);
+    expect_stats_equal(inst.stats(), first, "after reset");
+    if (!have_oracle) {
+      oracle_stats = first;
+      have_oracle = true;
+    } else {
+      expect_stats_equal(first, oracle_stats, "fresh");
+    }
+  }
 }
 
 }  // namespace

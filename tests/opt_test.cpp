@@ -27,6 +27,7 @@
 #include "instrument/passes.hpp"
 #include "sgx/platform.hpp"
 #include "wasm/binary.hpp"
+#include "wasm/wat_parser.hpp"
 #include "workloads/microbench.hpp"
 #include "workloads/polybench.hpp"
 #include "workloads/usecases.hpp"
@@ -449,6 +450,45 @@ TEST(OptMutation, ZeroFalseAcceptsOnTransformedWorkloads) {
   }
   // The corpus is only meaningful if mutants actually exist on this corpus.
   EXPECT_GT(sites_total, 0u);
+}
+
+// The frame reservation is computed over the flat code actually lowered. A
+// coalesce region inlines the leaf's operands into the caller's frame, so a
+// call made at the caller's maximum height raises that maximum by what the
+// leaf body pushes above its argument; the baseline's reservation would be
+// short.
+TEST(FrameReservation, CoalescedLeafCallRaisesTheCallersMaximum) {
+  wasm::Module module = wasm::parse_wat(R"((module
+    (func $leaf (param i32) (result i32)
+      local.get 0 i32.const 1 i32.const 2 i32.const 3
+      i32.add i32.add i32.add)
+    (func (export "run") (param i32) (result i32)
+      i32.const 10 i32.const 20
+      local.get 0 call $leaf
+      i32.add i32.add)))");
+  Prepared p = prepare(module, instrument::PassKind::FlowBased);
+  interp::CompiledModulePtr optimised = analysis::opt::optimise_compiled(
+      p.baseline, p.instrumented.counter_global, analysis::opt::kMaxOptLevel,
+      instrument::WeightTable::unit(), instrument::HostChargePolicy{});
+  ASSERT_TRUE(optimised->optimised());
+  const uint32_t run =
+      p.baseline->module().find_export("run", wasm::ExternKind::Func).value() -
+      static_cast<uint32_t>(p.baseline->module().imports.size());
+  ASSERT_FALSE(optimised->flat_func(run).regions.empty());
+  EXPECT_EQ(optimised->flat_func(run).regions[0].kind,
+            interp::OptRegionKind::CoalesceCall);
+  // Baseline: 10, 20 and the argument. Optimised: the argument is spilled
+  // into an appended local, then the leaf body peaks four slots above that.
+  EXPECT_EQ(p.baseline->lowered_func(run).max_height, 3u);
+  EXPECT_EQ(p.baseline->lowered_func(0).max_height, 4u);
+  EXPECT_EQ(optimised->lowered_func(run).max_height, 3u - 1u + 4u);
+  EXPECT_EQ(analysis::check_lowering(*optimised), std::nullopt);
+
+  Instance base(p.baseline, {}, interp_options(false));
+  Instance opt(optimised, {}, interp_options(false));
+  EXPECT_EQ(opt.invoke("run", {V::make_i32(4)}).at(0).i32(), 40);
+  EXPECT_EQ(base.invoke("run", {V::make_i32(4)}).at(0).i32(), 40);
+  expect_stats_equal(opt.stats(), base.stats(), "coalesced leaf");
 }
 
 }  // namespace

@@ -17,7 +17,8 @@
 //   acctee-mutate <module> --lowering-sweep
 //       Tampers with the module's lowered internal bytecode instead of its
 //       wasm (analysis/mutate.hpp LoweringMutationKind: edited immediates,
-//       dropped block/fused-counter charges, retargeted fused branches) and
+//       dropped block/fused-counter charges, retargeted fused branches,
+//       under-reserved frames) and
 //       runs the AE's verify-then-bind check (DESIGN.md §15) over each
 //       mutant stream: exits 1 if ANY tampered lowering binds.
 //
@@ -276,8 +277,8 @@ int lowering_sweep(const wasm::Module& module) {
   size_t false_accepts = 0;
   for (size_t i = 0; i < sites.size(); ++i) {
     auto mutant = analysis::apply_lowering_mutation(compiled->lowered(), i);
-    auto err = analysis::check_lowering(compiled->flat(), mutant,
-                                        compiled->lower_options(),
+    auto err = analysis::check_lowering(compiled->module(), compiled->flat(),
+                                        mutant, compiled->lower_options(),
                                         compiled->lowering_digest());
     std::printf("%4zu  %-10s %s\n", i, err ? "rejected" : "BOUND",
                 sites[i].description.c_str());

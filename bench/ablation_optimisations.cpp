@@ -267,19 +267,27 @@ int opt_ablation(bench::JsonReporter& json, bool smoke, bool check) {
     ++count;
     // The per-pass evidence trail at max level: what each pass did and the
     // wall cost of its machine-checked counter-equivalence proof.
+    // An unchanged output inherits its input's proof: no proof ran.
     for (const analysis::opt::PassReport& pass : max_trail.passes) {
+      char proof[32];
+      if (pass.proof_inherited) {
+        std::snprintf(proof, sizeof proof, "inherited");
+      } else {
+        std::snprintf(proof, sizeof proof, "%.1f us",
+                      static_cast<double>(pass.proof_micros));
+      }
       std::printf("  %-16s regions=%-3u elided=%-3u increments %u -> %u  "
-                  "proof %.1f us\n",
+                  "proof %s\n",
                   pass.name.c_str(), pass.regions_added, pass.ops_elided,
-                  pass.increments_before, pass.increments_after,
-                  static_cast<double>(pass.proof_micros));
+                  pass.increments_before, pass.increments_after, proof);
       json.record(
           w.name + "/pass/" + pass.name, 1,
           static_cast<double>(pass.proof_micros) * 1e3, 0,
           {{"regions_added", static_cast<double>(pass.regions_added)},
            {"ops_elided", static_cast<double>(pass.ops_elided)},
            {"increments_before", static_cast<double>(pass.increments_before)},
-           {"increments_after", static_cast<double>(pass.increments_after)}});
+           {"increments_after", static_cast<double>(pass.increments_after)},
+           {"proof_inherited", pass.proof_inherited ? 1.0 : 0.0}});
     }
   }
   const double geomean = std::exp(logsum_gain / count);

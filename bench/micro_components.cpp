@@ -4,6 +4,7 @@
 // benchmarks (regression tracking), not paper-figure reproductions.
 #include <benchmark/benchmark.h>
 
+#include "analysis/opt/opt.hpp"
 #include "analysis/verifier.hpp"
 #include "core/accounting_enclave.hpp"
 #include "core/instrumentation_enclave.hpp"
@@ -17,6 +18,7 @@
 #include "wasm/wat_parser.hpp"
 #include "workloads/faas_functions.hpp"
 #include "workloads/polybench.hpp"
+#include "workloads/usecases.hpp"
 
 using namespace acctee;
 
@@ -207,6 +209,85 @@ void BM_VerifyInstrumentation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VerifyInstrumentation)->Arg(0)->Arg(1)->Arg(2);
+
+// --- The AE's prepare miss, as on tenant_churn: every request a cold
+// deploy under LoopBased instrumentation, unit weights and opt level 3.
+// Arg 0 is jacobi-2d n=8, 1 gemm n=16, 2 Darknet.
+wasm::Module prepare_case(int64_t arg, const char** label) {
+  if (arg == 0) {
+    *label = "jacobi-2d, n=8";
+    return workloads::build_polybench("jacobi-2d", 8);
+  }
+  if (arg == 1) {
+    *label = "gemm, n=16";
+    return workloads::build_polybench("gemm", 16);
+  }
+  *label = "Darknet";
+  return workloads::usecase_darknet();
+}
+
+instrument::InstrumentOptions churn_policy() {
+  instrument::InstrumentOptions options;
+  options.pass = instrument::PassKind::LoopBased;
+  options.weights = instrument::WeightTable::unit();
+  options.opt_level = analysis::opt::kMaxOptLevel;
+  return options;
+}
+
+// Evidence verify, decode, validate, flatten, the baseline proof, the §19
+// pipeline, lowering and the lowering bind check. A prepared cache of
+// capacity 0 can never hit.
+void BM_AePrepareMiss(benchmark::State& state) {
+  const char* label = nullptr;
+  wasm::Module module = prepare_case(state.range(0), &label);
+  sgx::Platform platform("bench", to_bytes("seed"));
+  core::InstrumentationEnclave ie(platform, churn_policy(), 1);
+  auto output = ie.instrument_binary(wasm::encode(module));
+  core::AccountingEnclave::Config config;
+  config.trusted_ie_identity = ie.identity();
+  config.instrumentation = churn_policy();
+  config.signing_capacity = 1;
+  config.prepared_cache_capacity = 0;
+  core::AccountingEnclave ae(platform, config);
+  for (auto _ : state) {
+    auto prepared = ae.prepare(output.instrumented_binary, output.evidence);
+    benchmark::DoNotOptimize(prepared->lowering_digest);
+  }
+  state.SetLabel(label);
+}
+BENCHMARK(BM_AePrepareMiss)->Arg(0)->Arg(1)->Arg(2);
+
+// The canonical digests a miss hashes, over the L3 artifact the AE runs.
+interp::CompiledModulePtr optimised_case(int64_t arg, const char** label) {
+  const instrument::InstrumentOptions policy = churn_policy();
+  auto result = instrument::instrument(prepare_case(arg, label), policy);
+  return analysis::opt::optimise_compiled(
+      interp::compile(result.module), result.counter_global,
+      policy.opt_level, policy.weights, {});
+}
+
+void BM_LoweringDigest(benchmark::State& state) {
+  const char* label = nullptr;
+  interp::CompiledModulePtr compiled = optimised_case(state.range(0), &label);
+  for (auto _ : state) {
+    crypto::Digest digest = interp::lowering_digest(
+        compiled->flat(), compiled->lowered(), compiled->lower_options());
+    benchmark::DoNotOptimize(digest);
+  }
+  state.SetLabel(label);
+}
+BENCHMARK(BM_LoweringDigest)->Arg(0)->Arg(1)->Arg(2);
+
+void BM_FlatDigest(benchmark::State& state) {
+  const char* label = nullptr;
+  interp::CompiledModulePtr compiled = optimised_case(state.range(0), &label);
+  for (auto _ : state) {
+    crypto::Digest digest = analysis::opt::flat_digest(compiled->flat());
+    benchmark::DoNotOptimize(digest);
+  }
+  state.SetLabel(label);
+}
+BENCHMARK(BM_FlatDigest)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_BinaryCodecRoundTrip(benchmark::State& state) {
   wasm::Module module = workloads::build_polybench("3mm", 32);

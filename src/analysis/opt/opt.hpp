@@ -57,6 +57,9 @@ struct PassReport {
   // the collapsed view) and canonical digest of the transformed flat code.
   crypto::Digest cost_vector_digest{};
   crypto::Digest flat_digest{};
+  // True when the output was flat_equal to the input, so the digests and
+  // counts are the input's and no proof ran (proof_micros stays 0).
+  bool proof_inherited = false;
   uint64_t proof_micros = 0;  // wall time of the per-pass equivalence proof
 
   friend bool operator==(const PassReport&, const PassReport&) = default;
@@ -72,23 +75,43 @@ struct OptTrail {
 struct PipelineResult {
   std::vector<interp::FlatFunc> flat;
   OptTrail trail;
+  // Wall time of the baseline's proof when the pipeline had to run it (a
+  // pass left the baseline unchanged and the caller supplied no verdict).
+  uint64_t baseline_proof_micros = 0;
 };
+
+struct OptVerifyResult;
 
 /// Runs the pass pipeline for `opt_level` over `baseline` (the canonical
 /// flattening of the instrumented module). Deterministic: same inputs, same
-/// bytes. Every pass output is re-proved (§14 on the collapsed view plus
-/// the per-region semantic re-derivation); a failed proof throws Error —
-/// a pass must never ship unproven output (fail-closed).
+/// bytes. Every pass output that differs from its input is re-proved (§14
+/// on the collapsed view plus the per-region semantic re-derivation); a
+/// failed proof throws Error — a pass must never ship unproven output
+/// (fail-closed). An output flat_equal to its input inherits the input's
+/// proof, digests and counts. The baseline is proved on first such need,
+/// unless `baseline_proof` carries the caller's own accepting
+/// verify_optimised_module verdict over this exact baseline; a verdict that
+/// is not ok or covers a different function count throws Error.
 PipelineResult run_pipeline(const wasm::Module& module,
                             const std::vector<interp::FlatFunc>& baseline,
                             uint32_t counter_global, uint32_t opt_level,
                             const instrument::WeightTable& weights,
-                            const instrument::HostChargePolicy& host_charge);
+                            const instrument::HostChargePolicy& host_charge,
+                            const OptVerifyResult* baseline_proof = nullptr);
+
+/// The same, taking ownership of the baseline: at opt_level 0 it comes
+/// back as the result without a copy.
+PipelineResult run_pipeline(const wasm::Module& module,
+                            std::vector<interp::FlatFunc>&& baseline,
+                            uint32_t counter_global, uint32_t opt_level,
+                            const instrument::WeightTable& weights,
+                            const instrument::HostChargePolicy& host_charge,
+                            const OptVerifyResult* baseline_proof = nullptr);
 
 /// Convenience for execution paths: runs the pipeline over an already
 /// compiled (validated) module and returns a new artifact that executes the
-/// optimised flat form, with the baseline retained for the §14 proof.
-/// `trail_out` (optional) receives the per-pass evidence.
+/// optimised flat form (`base` itself at opt_level 0). `trail_out`
+/// (optional) receives the per-pass evidence.
 interp::CompiledModulePtr optimise_compiled(
     const interp::CompiledModulePtr& base, uint32_t counter_global,
     uint32_t opt_level, const instrument::WeightTable& weights,
@@ -136,8 +159,11 @@ bool check_optimised_flat(const wasm::Module& module,
 /// "acctee.optflat.v1"). Used for the per-pass trail and determinism tests.
 crypto::Digest flat_digest(const std::vector<interp::FlatFunc>& flat);
 
-/// Structural byte-equality of two flat modules (code, tables, blocks,
-/// regions) — the AE's re-derive-and-compare check.
+/// Structural byte-equality of two flat modules: everything flat_digest
+/// and verify_optimised_module read (signatures, locals, code, tables,
+/// regions). The block summaries are derived from those, so equal modules
+/// have equal blocks. run_pipeline uses it to let an unchanged pass output
+/// inherit its input's proof.
 bool flat_equal(const std::vector<interp::FlatFunc>& a,
                 const std::vector<interp::FlatFunc>& b);
 
@@ -150,7 +176,8 @@ std::vector<interp::FlatFunc> collapsed_view(
     const std::vector<interp::FlatFunc>& flat);
 
 /// Hot-path increment sites: 4-op counter-increment windows outside region
-/// slow copies. Reported per pass (before → after).
+/// slow copies. Reported per pass (before → after). One pass over the code
+/// with a cursor over the slow copies sorted by start.
 uint32_t count_hot_increments(const std::vector<interp::FlatFunc>& flat,
                               uint32_t counter_global);
 

@@ -1,13 +1,18 @@
 // The pass manager (DESIGN.md §19): fixed deterministic pass order, gated
 // by opt_level, with the verify-after-each-pass discipline — each pass
-// output is immediately re-proved (region semantics + §14 over the
-// collapsed view) and its evidence diff (counts, digests, proof time)
+// output that differs from its input is immediately re-proved (region
+// semantics + §14 over the collapsed view), an unchanged one inherits its
+// input's proof, and the evidence diff (counts, digests, proof time) is
 // recorded in the trail the IE claims and the AE independently re-derives.
+#include <algorithm>
 #include <chrono>
+#include <optional>
+#include <utility>
 
 #include "analysis/opt/internal.hpp"
 #include "analysis/opt/opt.hpp"
 #include "common/error.hpp"
+#include "interp/lower.hpp"
 
 namespace acctee::analysis::opt {
 
@@ -17,68 +22,22 @@ using interp::OptRegion;
 using wasm::Op;
 
 crypto::Digest flat_digest(const std::vector<FlatFunc>& flat) {
-  crypto::Sha256 ctx;
-  constexpr std::string_view kDomain = "acctee.optflat.v1";
-  ctx.update(BytesView(reinterpret_cast<const uint8_t*>(kDomain.data()),
-                       kDomain.size()));
-  Bytes buf;
-  auto u8 = [&](uint8_t v) { buf.push_back(v); };
-  auto u32 = [&](uint32_t v) { append_u32le(buf, v); };
-  auto u64 = [&](uint64_t v) { append_u64le(buf, v); };
-  u32(static_cast<uint32_t>(flat.size()));
-  ctx.update(buf);
+  crypto::Sha256Writer w;
+  w.bytes("acctee.optflat.v1");
+  w.record(4).u32(static_cast<uint32_t>(flat.size()));
   for (const FlatFunc& ff : flat) {
-    buf.clear();
-    u32(ff.type_index);
-    u32(ff.num_params);
-    u32(static_cast<uint32_t>(ff.local_types.size()));
-    for (wasm::ValType t : ff.local_types) u8(static_cast<uint8_t>(t));
-    u32(static_cast<uint32_t>(ff.code.size()));
-    for (const FlatOp& op : ff.code) {
-      u8(static_cast<uint8_t>(op.op));
-      u8(op.synthetic ? 1 : 0);
-      u8(op.arity);
-      u32(op.a);
-      u32(op.target_pc);
-      u32(op.unwind);
-      u64(op.b);
+    w.record(12)
+        .u32(ff.type_index)
+        .u32(ff.num_params)
+        .u32(static_cast<uint32_t>(ff.local_types.size()));
+    for (wasm::ValType t : ff.local_types) {
+      w.record(1).u8(static_cast<uint8_t>(t));
     }
-    u32(static_cast<uint32_t>(ff.br_tables.size()));
-    for (const auto& table : ff.br_tables) {
-      u32(static_cast<uint32_t>(table.size()));
-      for (const interp::BrTarget& t : table) {
-        u32(t.pc);
-        u32(t.unwind);
-        u8(t.arity);
-      }
-    }
-    u32(static_cast<uint32_t>(ff.regions.size()));
-    for (const OptRegion& r : ff.regions) {
-      u8(static_cast<uint8_t>(r.kind));
-      u32(r.enter_pc);
-      u32(r.fast_begin);
-      u32(r.fast_end);
-      u32(r.slow_begin);
-      u32(r.slow_end);
-      u32(r.callee);
-      u64(r.trips);
-      u64(r.instr_total);
-      u64(r.cycles_total);
-      u64(r.counter_amount);
-      u32(r.counter_global);
-      u32(r.calls_folded);
-      u32(r.frames_needed);
-      u32(r.hist_begin);
-      u32(r.hist_end);
-    }
-    u32(static_cast<uint32_t>(ff.region_hist.size()));
-    for (const interp::BlockOpCount& h : ff.region_hist) {
-      u8(static_cast<uint8_t>(h.op));
-      u32(h.count);
-    }
-    ctx.update(buf);
+    interp::digest_flat_code(w, ff.code);
+    interp::digest_br_tables(w, ff.br_tables);
+    interp::digest_regions(w, ff);
   }
-  return ctx.finish();
+  return w.finish();
 }
 
 bool flat_equal(const std::vector<FlatFunc>& a,
@@ -137,16 +96,27 @@ std::vector<FlatFunc> collapsed_view(const std::vector<FlatFunc>& flat) {
 uint32_t count_hot_increments(const std::vector<FlatFunc>& flat,
                               uint32_t counter_global) {
   uint32_t count = 0;
+  std::vector<std::pair<uint32_t, uint32_t>> slow;  // [begin, end) by begin
   for (const FlatFunc& ff : flat) {
-    auto in_slow = [&](uint32_t pc) {
-      for (const OptRegion& r : ff.regions) {
-        if (pc >= r.slow_begin && pc < r.slow_end) return true;
-      }
-      return false;
-    };
+    slow.clear();
+    for (const OptRegion& r : ff.regions) {
+      slow.emplace_back(r.slow_begin, r.slow_end);
+    }
+    std::sort(slow.begin(), slow.end());
+    // One cursor: `covered` is the furthest end of any slow copy starting
+    // at or before pc, so pc lies in a slow copy exactly when pc < covered.
+    size_t next = 0;
+    uint32_t covered = 0;
     const uint32_t n = static_cast<uint32_t>(ff.code.size());
     for (uint32_t pc = 0; pc < n; ++pc) {
-      if (in_slow(pc)) continue;
+      while (next < slow.size() && slow[next].first <= pc) {
+        covered = std::max(covered, slow[next].second);
+        ++next;
+      }
+      if (pc < covered) {
+        pc = covered - 1;
+        continue;
+      }
       if (detail::increment_amount_at(ff.code, pc, counter_global)) {
         ++count;
         pc += 3;
@@ -169,14 +139,54 @@ uint32_t count_blocks(const std::vector<FlatFunc>& flat) {
 }  // namespace
 
 PipelineResult run_pipeline(const wasm::Module& module,
-                            const std::vector<FlatFunc>& baseline,
+                            std::vector<FlatFunc>&& baseline,
                             uint32_t counter_global, uint32_t opt_level,
                             const instrument::WeightTable& weights,
-                            const instrument::HostChargePolicy& host_charge) {
+                            const instrument::HostChargePolicy& host_charge,
+                            const OptVerifyResult* baseline_proof) {
+  if (baseline_proof != nullptr &&
+      (!baseline_proof->ok ||
+       baseline_proof->cost_vector.size() != baseline.size())) {
+    throw Error(
+        "opt pipeline: the baseline verdict is not an accepting proof of a "
+        "module with this function count");
+  }
   PipelineResult result;
-  result.trail.opt_level = opt_level > kMaxOptLevel ? kMaxOptLevel : opt_level;
-  result.flat = baseline;
+  result.trail.opt_level = std::min(opt_level, kMaxOptLevel);
+  result.flat = std::move(baseline);
   if (result.trail.opt_level == 0) return result;
+
+  // What is known of the current input, result.flat. A pass whose output is
+  // flat_equal to its input inherits all of it: flat_equal compares every
+  // field the proof and flat_digest read, and the block summaries are a
+  // function of those fields. The baseline's proof and digest are derived
+  // on first need, its proof only if the caller supplied none.
+  std::optional<crypto::Digest> cost_digest;
+  if (baseline_proof != nullptr) {
+    cost_digest = baseline_proof->cost_vector_digest;
+  }
+  std::optional<crypto::Digest> digest;
+  uint32_t blocks = count_blocks(result.flat);
+  uint32_t increments = count_hot_increments(result.flat, counter_global);
+
+  // The §14 proof (collapsed view) plus the per-region semantic
+  // re-derivation. A failure is a pass bug (or, for the baseline, an
+  // unsound module); it must never ship, so fail closed.
+  auto prove = [&](const std::vector<FlatFunc>& flat, const std::string& what,
+                   uint64_t* micros) {
+    const auto t0 = std::chrono::steady_clock::now();
+    OptVerifyResult proof = verify_optimised_module(
+        module, flat, counter_global, weights, host_charge);
+    *micros = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    if (!proof.ok) {
+      throw Error("opt pipeline: " + what +
+                  " failed its counter-equivalence proof: " + proof.error);
+    }
+    return proof.cost_vector_digest;
+  };
 
   struct Pass {
     const char* name;
@@ -192,9 +202,8 @@ PipelineResult run_pipeline(const wasm::Module& module,
     PassReport report;
     report.name = pass.name;
     report.min_level = pass.min_level;
-    report.blocks_before = count_blocks(result.flat);
-    report.increments_before =
-        count_hot_increments(result.flat, counter_global);
+    report.blocks_before = blocks;
+    report.increments_before = increments;
 
     std::vector<FlatFunc> next;
     if (report.name == "dead-blocks") {
@@ -211,29 +220,40 @@ PipelineResult run_pipeline(const wasm::Module& module,
                                      &report.regions_added);
     }
 
-    // Verify-after-each-pass: the §14 proof (collapsed view) plus the
-    // per-region semantic re-derivation must accept the output before it
-    // becomes the next pass's input. A failure here is a pass bug; it must
-    // never ship, so fail closed.
-    const auto t0 = std::chrono::steady_clock::now();
-    OptVerifyResult proof = verify_optimised_module(
-        module, next, counter_global, weights, host_charge);
-    const auto t1 = std::chrono::steady_clock::now();
-    report.proof_micros = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
-            .count());
-    if (!proof.ok) {
-      throw Error(std::string("opt pipeline: pass '") + pass.name +
-                  "' failed its counter-equivalence proof: " + proof.error);
+    // Verify-after-each-pass: an output that differs from its input is
+    // proved before it becomes the next pass's input.
+    if (flat_equal(next, result.flat)) {
+      report.proof_inherited = true;
+      if (!cost_digest) {
+        cost_digest =
+            prove(result.flat, "the baseline", &result.baseline_proof_micros);
+      }
+      if (!digest) digest = flat_digest(result.flat);
+    } else {
+      cost_digest = prove(next, std::string("pass '") + pass.name + "'",
+                          &report.proof_micros);
+      digest = flat_digest(next);
+      blocks = count_blocks(next);
+      increments = count_hot_increments(next, counter_global);
+      result.flat = std::move(next);
     }
-    report.blocks_after = count_blocks(next);
-    report.increments_after = count_hot_increments(next, counter_global);
-    report.cost_vector_digest = proof.cost_vector_digest;
-    report.flat_digest = flat_digest(next);
-    result.flat = std::move(next);
+    report.blocks_after = blocks;
+    report.increments_after = increments;
+    report.cost_vector_digest = *cost_digest;
+    report.flat_digest = *digest;
     result.trail.passes.push_back(std::move(report));
   }
   return result;
+}
+
+PipelineResult run_pipeline(const wasm::Module& module,
+                            const std::vector<FlatFunc>& baseline,
+                            uint32_t counter_global, uint32_t opt_level,
+                            const instrument::WeightTable& weights,
+                            const instrument::HostChargePolicy& host_charge,
+                            const OptVerifyResult* baseline_proof) {
+  return run_pipeline(module, std::vector<FlatFunc>(baseline), counter_global,
+                      opt_level, weights, host_charge, baseline_proof);
 }
 
 interp::CompiledModulePtr optimise_compiled(
@@ -246,11 +266,9 @@ interp::CompiledModulePtr optimise_compiled(
   if (trail_out != nullptr) *trail_out = pr.trail;
   if (pr.trail.opt_level == 0) return base;
   interp::CompiledModule::CompileOptions options;
-  options.validate = false;  // the baseline artifact already validated
   options.lower = base->lower_options();
   return std::make_shared<const interp::CompiledModule>(
-      base->module(), std::move(pr.flat), base->flat(), options,
-      base->validated());
+      base->module(), std::move(pr.flat), options, base->validated());
 }
 
 bool check_optimised_flat(const wasm::Module& module,

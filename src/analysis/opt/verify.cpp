@@ -153,10 +153,13 @@ struct Checker {
           return fail(df, "fast body touches the counter global");
         }
       }
-      // Nothing falls through into the slow copy.
+      // Nothing falls through into the slow copy (and a copy at pc 0 is
+      // entered by every call).
+      if (r.slow_begin == 0) {
+        return fail(df, "slow copy reachable by fall-through");
+      }
       const Op before = ff.code[r.slow_begin - 1].op;
-      if (r.slow_begin == 0 ||
-          !(before == Op::Br || before == Op::BrTable ||
+      if (!(before == Op::Br || before == Op::BrTable ||
             before == Op::Return || before == Op::Unreachable)) {
         return fail(df, "slow copy reachable by fall-through");
       }
@@ -408,9 +411,14 @@ OptVerifyResult verify_optimised_module(
   }
   // Layer 3: the §14 proof over the collapsed view. Slow copies are
   // verbatim baseline code, so the wrapping-debt dataflow applies as-is;
-  // its recovered cost vector is the transformed module's claim.
-  VerifyResult vres = verify_instrumented_module(
-      module, collapsed_view(flat), counter_global, weights, host_charge);
+  // its recovered cost vector is the transformed module's claim. Without
+  // regions the view is the module itself, so it is not copied.
+  VerifyResult vres =
+      result.regions == 0
+          ? verify_instrumented_module(module, flat, counter_global, weights,
+                                       host_charge)
+          : verify_instrumented_module(module, collapsed_view(flat),
+                                       counter_global, weights, host_charge);
   if (!vres.ok) {
     result.error = "collapsed-view equivalence proof failed: " + vres.error;
     return result;

@@ -7,7 +7,6 @@
 #include "analysis/counter_flow.hpp"
 #include "analysis/dominators.hpp"
 #include "analysis/loops.hpp"
-#include "common/bytes.hpp"
 #include "instrument/passes.hpp"
 #include "wasm/validator.hpp"
 
@@ -148,13 +147,8 @@ VerifyResult verify_instrumented_module(
     const instrument::WeightTable& weights,
     const instrument::HostChargePolicy& host_charge) {
   wasm::validate(module);
-  std::vector<FlatFunc> flat;
-  flat.reserve(module.functions.size());
-  for (const wasm::Function& func : module.functions) {
-    flat.push_back(interp::flatten(module, func));
-  }
-  return verify_instrumented_module(module, flat, counter_global, weights,
-                                    host_charge);
+  return verify_instrumented_module(module, interp::flatten_module(module),
+                                    counter_global, weights, host_charge);
 }
 
 std::vector<uint64_t> naive_cost_vector(
@@ -162,8 +156,7 @@ std::vector<uint64_t> naive_cost_vector(
     const instrument::HostChargePolicy& host_charge) {
   std::vector<uint64_t> costs;
   costs.reserve(module.functions.size());
-  for (const wasm::Function& func : module.functions) {
-    FlatFunc flat = interp::flatten(module, func);
+  for (const FlatFunc& flat : interp::flatten_module(module)) {
     uint64_t cost = 0;
     for (const FlatOp& op : flat.code) {
       if (!op.synthetic) {
@@ -176,10 +169,11 @@ std::vector<uint64_t> naive_cost_vector(
 }
 
 crypto::Digest cost_vector_digest(const std::vector<uint64_t>& costs) {
-  Bytes payload = to_bytes("acctee-cost-vector-v1");
-  append_u32le(payload, static_cast<uint32_t>(costs.size()));
-  for (uint64_t c : costs) append_u64le(payload, c);
-  return crypto::sha256(payload);
+  crypto::Sha256Writer w;
+  w.bytes("acctee-cost-vector-v1");
+  w.record(4).u32(static_cast<uint32_t>(costs.size()));
+  for (uint64_t c : costs) w.record(8).u64(c);
+  return w.finish();
 }
 
 std::optional<std::string> check_lowering(

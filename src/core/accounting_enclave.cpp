@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <optional>
 
 #include "analysis/opt/opt.hpp"
 #include "analysis/verifier.hpp"
@@ -121,35 +122,42 @@ AccountingEnclave::prepare(BytesView instrumented_binary,
   }
 
   // --- 2. Load, re-validate and flatten inside the enclave (once). ---
-  interp::CompiledModulePtr compiled;
+  wasm::Module module;
+  std::vector<interp::FlatFunc> baseline;
   {
     auto compile_span = obs::Tracer::global().span("ae.compile");
-    compiled = interp::compile(wasm::decode(instrumented_binary));
+    module = wasm::decode(instrumented_binary);
+    wasm::validate(module);
+    baseline = interp::flatten_module(module);
   }
   // The counter global must not merely exist under the right export name:
   // a decoy (wrong type, immutable, or pre-charged initial value) would
   // skew every signed log, so its declaration is validated too.
-  if (auto err = analysis::check_counter_global(compiled->module(),
-                                                evidence.counter_global)) {
+  if (auto err =
+          analysis::check_counter_global(module, evidence.counter_global)) {
     throw AttestationError("counter global rejected: " + *err);
   }
+  // The AE derives the surcharge policy from its own copy of the module —
+  // import count and table reachability are never taken from the evidence.
+  const instrument::HostChargePolicy host_charge =
+      instrument::HostChargePolicy::for_module(
+          module, config_.instrumentation.host_call_weight);
 
   // --- 3. Statically re-prove the instrumentation (DESIGN.md §14): the
   // IE's signature says who produced the module; this says the module
-  // actually accounts every path correctly. ---
+  // actually accounts every path correctly. The proof is the §19 one
+  // (bounds and region structure, then §14), so the pipeline below can
+  // inherit it for every pass that leaves the baseline unchanged. ---
   crypto::Digest cost_digest{};
   crypto::Digest lowering_digest{};
+  std::optional<analysis::opt::OptVerifyResult> baseline_proof;
   if (config_.verify_instrumentation) {
     auto verify_span = obs::Tracer::global().span("ae.verify_counters");
     auto started = std::chrono::steady_clock::now();
-    // The AE derives the surcharge policy from its own copy of the module —
-    // import count and table reachability are never taken from the evidence.
-    const instrument::HostChargePolicy host_charge =
-        instrument::HostChargePolicy::for_module(
-            compiled->module(), config_.instrumentation.host_call_weight);
-    analysis::VerifyResult verdict = analysis::verify_instrumented_module(
-        compiled->module(), compiled->flat(), evidence.counter_global,
-        config_.instrumentation.weights, host_charge);
+    analysis::opt::OptVerifyResult verdict =
+        analysis::opt::verify_optimised_module(
+            module, baseline, evidence.counter_global,
+            config_.instrumentation.weights, host_charge);
     verify_seconds_->observe(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       started)
@@ -167,59 +175,63 @@ AccountingEnclave::prepare(BytesView instrumented_binary,
           "statically recovered cost vector");
     }
     cost_digest = verdict.cost_vector_digest;
+    baseline_proof = std::move(verdict);
   }
 
   // --- 3b. Verified middle-end (DESIGN.md §19). The agreed policy fixes
   // the optimisation level; the evidence must claim exactly that level, and
   // the AE re-runs the deterministic pipeline from its own baseline
-  // flattening — each pass re-proved counter-equivalent — and refuses to
-  // execute unless the IE's signed per-pass trail matches its own
-  // derivation digest-for-digest. Execution then binds to the AE-derived
-  // transformed form, never to anything the IE shipped. ---
+  // flattening — each pass output that differs from its input re-proved
+  // counter-equivalent — and refuses to execute unless the IE's signed
+  // per-pass trail matches its own derivation digest-for-digest. At level 0
+  // the pipeline returns the baseline and the trail is empty. Execution
+  // then binds to the AE-derived form, never to anything the IE shipped. ---
   const uint32_t opt_level = std::min(config_.instrumentation.opt_level,
                                       analysis::opt::kMaxOptLevel);
   if (evidence.opt_level != opt_level) {
     throw AttestationError(
         "evidence optimisation level differs from agreed policy");
   }
-  if (opt_level != 0) {
+  analysis::opt::PipelineResult pr;
+  {
     auto opt_span = obs::Tracer::global().span("ae.optimise");
-    const instrument::HostChargePolicy host_charge =
-        instrument::HostChargePolicy::for_module(
-            compiled->module(), config_.instrumentation.host_call_weight);
-    analysis::opt::PipelineResult pr = analysis::opt::run_pipeline(
-        compiled->module(), compiled->flat(), evidence.counter_global,
-        opt_level, config_.instrumentation.weights, host_charge);
-    if (pr.trail.passes.size() != evidence.opt_passes.size()) {
+    pr = analysis::opt::run_pipeline(
+        module, std::move(baseline), evidence.counter_global, opt_level,
+        config_.instrumentation.weights, host_charge,
+        baseline_proof ? &*baseline_proof : nullptr);
+  }
+  if (pr.trail.passes.size() != evidence.opt_passes.size()) {
+    throw AttestationError(
+        "evidence optimisation trail length differs from the re-derived "
+        "pipeline");
+  }
+  for (size_t i = 0; i < pr.trail.passes.size(); ++i) {
+    const analysis::opt::PassReport& report = pr.trail.passes[i];
+    const OptPassClaim& claim = evidence.opt_passes[i];
+    if (claim.name != report.name ||
+        claim.cost_vector_digest != report.cost_vector_digest ||
+        claim.flat_digest != report.flat_digest) {
       throw AttestationError(
-          "evidence optimisation trail length differs from the re-derived "
-          "pipeline");
+          "evidence optimisation trail diverges from the re-derived "
+          "pipeline at pass '" + report.name + "'");
     }
-    for (size_t i = 0; i < pr.trail.passes.size(); ++i) {
-      const analysis::opt::PassReport& report = pr.trail.passes[i];
-      const OptPassClaim& claim = evidence.opt_passes[i];
-      if (claim.name != report.name ||
-          claim.cost_vector_digest != report.cost_vector_digest ||
-          claim.flat_digest != report.flat_digest) {
-        throw AttestationError(
-            "evidence optimisation trail diverges from the re-derived "
-            "pipeline at pass '" + report.name + "'");
-      }
-    }
-    interp::CompiledModule::CompileOptions copts;
-    copts.validate = false;  // the baseline artifact above already validated
-    copts.lower = compiled->lower_options();
-    compiled = std::make_shared<const interp::CompiledModule>(
-        compiled->module(), std::move(pr.flat), compiled->flat(),
-        std::move(copts), compiled->validated());
   }
 
+  // --- 4. Lower once: the one artifact that executes, built from the
+  // final flat form. ---
+  interp::CompiledModulePtr compiled;
+  {
+    auto lower_span = obs::Tracer::global().span("ae.lower");
+    compiled = std::make_shared<const interp::CompiledModule>(
+        std::move(module), std::move(pr.flat),
+        interp::CompiledModule::CompileOptions{}, /*validated=*/true);
+  }
   if (config_.verify_instrumentation) {
     // Verify-then-bind (DESIGN.md §15): the proofs above were carried out
     // over the flattened code; the interpreter executes the lowered
-    // form. Bind the two by re-deriving the lowering and its digest — over
-    // the optimised flat form when the middle-end ran — so a tampered
-    // lowered stream can never run under a verified identity.
+    // form. Bind the two by re-deriving the lowering and its digest over
+    // the flat form that executes, so a tampered lowered stream can never
+    // run under a verified identity.
     if (auto err = analysis::check_lowering(*compiled)) {
       verify_failures_->inc();
       throw AttestationError("lowering failed verify-then-bind: " + *err);

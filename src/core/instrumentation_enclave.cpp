@@ -74,17 +74,13 @@ InstrumentationEnclave::Output InstrumentationEnclave::instrument_binary(
     // compromised IE cannot smuggle an under-counting transform through
     // the claims. The pipeline reads only the flat form, so the module is
     // flattened, not compiled: the IE does no lowering work.
-    std::vector<interp::FlatFunc> flat;
-    flat.reserve(result.module.functions.size());
-    for (const wasm::Function& func : result.module.functions) {
-      flat.push_back(interp::flatten(result.module, func));
-    }
     const instrument::HostChargePolicy instr_charge =
         instrument::HostChargePolicy::for_module(result.module,
                                                  options_.host_call_weight);
     analysis::opt::PipelineResult pr = analysis::opt::run_pipeline(
-        result.module, flat, result.counter_global, options_.opt_level,
-        options_.weights, instr_charge);
+        result.module, interp::flatten_module(result.module),
+        result.counter_global, options_.opt_level, options_.weights,
+        instr_charge);
     out.evidence.opt_level = pr.trail.opt_level;
     for (const analysis::opt::PassReport& report : pr.trail.passes) {
       out.evidence.opt_passes.push_back(

@@ -246,6 +246,29 @@ Digest Sha256::finish() {
   return out;
 }
 
+void Sha256Writer::bytes(BytesView data) {
+  if (data.empty()) return;
+  if (data.size() > kChunk - len_) {
+    flush();
+    if (data.size() >= kChunk) {
+      ctx_.update(data);
+      return;
+    }
+  }
+  std::memcpy(buf_.data() + len_, data.data(), data.size());
+  len_ += data.size();
+}
+
+void Sha256Writer::flush() {
+  ctx_.update(BytesView(buf_.data(), len_));
+  len_ = 0;
+}
+
+Digest Sha256Writer::finish() {
+  flush();
+  return ctx_.finish();
+}
+
 Digest sha256(BytesView data) {
   Sha256 ctx;
   ctx.update(data);

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -47,6 +48,75 @@ class Sha256 {
   std::array<uint8_t, 64> buffer_;
   size_t buffer_len_ = 0;
   uint64_t total_len_ = 0;
+};
+
+/// Hashes a canonical serialization as it is written. Each record claims
+/// its exact size up front, then stores its fields little-endian by shifts
+/// (the same bytes on every host) into a fixed chunk that reaches the
+/// context in one update() whenever it fills.
+class Sha256Writer {
+ public:
+  static constexpr size_t kChunk = 4096;
+
+  /// One record's bytes. It must write exactly the size it claimed. Its
+  /// cursor is a local, so a field store never makes the compiler reload
+  /// the writer's state.
+  class Record {
+   public:
+    Record(uint8_t* p, size_t n) : p_(p), end_(p + n) {}
+    ~Record() { assert(p_ == end_); }
+    Record(const Record&) = delete;
+    Record& operator=(const Record&) = delete;
+
+    Record& u8(uint8_t v) {
+      assert(p_ + 1 <= end_);
+      *p_++ = v;
+      return *this;
+    }
+    Record& u32(uint32_t v) {
+      assert(p_ + 4 <= end_);
+      for (size_t i = 0; i < 4; ++i) {
+        p_[i] = static_cast<uint8_t>(v >> (8 * i));
+      }
+      p_ += 4;
+      return *this;
+    }
+    Record& u64(uint64_t v) {
+      assert(p_ + 8 <= end_);
+      for (size_t i = 0; i < 8; ++i) {
+        p_[i] = static_cast<uint8_t>(v >> (8 * i));
+      }
+      p_ += 8;
+      return *this;
+    }
+
+   private:
+    uint8_t* p_;
+    uint8_t* end_;
+  };
+
+  /// Claims the next `n` bytes (n ≤ kChunk) for one record.
+  Record record(size_t n) {
+    if (len_ + n > kChunk) flush();
+    uint8_t* p = buf_.data() + len_;
+    len_ += n;
+    return Record(p, n);
+  }
+  /// Any length.
+  void bytes(BytesView data);
+  void bytes(std::string_view text) {
+    bytes(BytesView(reinterpret_cast<const uint8_t*>(text.data()),
+                    text.size()));
+  }
+
+  Digest finish();
+
+ private:
+  void flush();
+
+  Sha256 ctx_;
+  std::array<uint8_t, kChunk> buf_;
+  size_t len_ = 0;
 };
 
 /// One-shot convenience.

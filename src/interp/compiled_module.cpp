@@ -10,27 +10,32 @@ CompiledModule::CompiledModule(wasm::Module module, CompileOptions options)
     wasm::validate(module_);
     validated_ = true;
   }
-  flat_.reserve(module_.functions.size());
-  for (const auto& func : module_.functions) {
-    flat_.push_back(flatten(module_, func));
-  }
-  lower_options_ = options.lower;
-  lowered_ = lower_module(module_, flat_, options.lower);
-  lowering_digest_ = interp::lowering_digest(flat_, lowered_, options.lower);
+  flat_ = flatten_module(module_);
+  lower(options.lower);
+}
+
+CompiledModule::CompiledModule(wasm::Module module, std::vector<FlatFunc> flat,
+                               CompileOptions options, bool validated)
+    : module_(std::move(module)),
+      flat_(std::move(flat)),
+      validated_(validated),
+      optimised_(true) {
+  lower(options.lower);
 }
 
 CompiledModule::CompiledModule(wasm::Module module,
                                std::vector<FlatFunc> optimised_flat,
                                std::vector<FlatFunc> baseline_flat,
                                CompileOptions options, bool validated)
-    : module_(std::move(module)),
-      flat_(std::move(optimised_flat)),
-      baseline_flat_(std::move(baseline_flat)),
-      validated_(validated),
-      optimised_(true) {
-  lower_options_ = options.lower;
-  lowered_ = lower_module(module_, flat_, options.lower);
-  lowering_digest_ = interp::lowering_digest(flat_, lowered_, options.lower);
+    : CompiledModule(std::move(module), std::move(optimised_flat), options,
+                     validated) {
+  baseline_flat_ = std::move(baseline_flat);
+}
+
+void CompiledModule::lower(const LowerOptions& options) {
+  lower_options_ = options;
+  lowered_ = lower_module(module_, flat_, options);
+  lowering_digest_ = interp::lowering_digest(flat_, lowered_, options);
 }
 
 CompiledModulePtr compile(wasm::Module module,

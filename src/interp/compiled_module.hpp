@@ -39,13 +39,17 @@ class CompiledModule {
   /// compile() helpers.
   CompiledModule(wasm::Module module, CompileOptions options);
 
-  /// Builds the artifact from an externally transformed flat form — the
-  /// optimisation pipeline (analysis/opt, DESIGN.md §19). `optimised_flat`
-  /// is what lowering and execution use; `baseline_flat` keeps the
-  /// canonical (untransformed) flattening for the §14 counter-equivalence
-  /// proof. The module itself is byte-identical to the untransformed one —
-  /// optimisation happens strictly after decode+validate, so `validated`
-  /// carries the caller's verdict for that module.
+  /// Builds the artifact from a flat form the caller already derived: the
+  /// optimisation pipeline's output (analysis/opt, DESIGN.md §19), which at
+  /// opt_level 0 is the baseline flattening itself. Only lowering runs
+  /// here, over exactly `flat`. The module is the one that was flattened
+  /// (optimisation happens strictly after decode+validate), so `validated`
+  /// carries the caller's verdict for it and `options.validate` is unused.
+  CompiledModule(wasm::Module module, std::vector<FlatFunc> flat,
+                 CompileOptions options, bool validated);
+
+  /// The same, keeping the baseline flattening `optimised_flat` was
+  /// derived from beside it (baseline_flat()).
   CompiledModule(wasm::Module module, std::vector<FlatFunc> optimised_flat,
                  std::vector<FlatFunc> baseline_flat, CompileOptions options,
                  bool validated);
@@ -67,10 +71,11 @@ class CompiledModule {
   const BcFunc& lowered_func(uint32_t defined_index) const {
     return lowered_[defined_index];
   }
-  /// True iff this artifact was built through the optimisation pipeline.
+  /// True iff this artifact was built from a caller-supplied flat form
+  /// (the optimisation pipeline's output) rather than flattened here.
   bool optimised() const { return optimised_; }
-  /// The canonical (untransformed) flattening — the baseline the §14 proof
-  /// runs against. Empty unless optimised().
+  /// The baseline passed to the constructor that takes one; empty
+  /// otherwise (the AE keeps only the flat form that executes).
   const std::vector<FlatFunc>& baseline_flat() const { return baseline_flat_; }
 
   /// The options the lowering ran with (needed to re-derive it).
@@ -80,6 +85,8 @@ class CompiledModule {
   const crypto::Digest& lowering_digest() const { return lowering_digest_; }
 
  private:
+  void lower(const LowerOptions& options);
+
   wasm::Module module_;
   std::vector<FlatFunc> flat_;
   std::vector<FlatFunc> baseline_flat_;

@@ -351,6 +351,15 @@ FlatFunc flatten(const wasm::Module& module, const wasm::Function& func) {
   return ff;
 }
 
+std::vector<FlatFunc> flatten_module(const wasm::Module& module) {
+  std::vector<FlatFunc> flat;
+  flat.reserve(module.functions.size());
+  for (const wasm::Function& func : module.functions) {
+    flat.push_back(flatten(module, func));
+  }
+  return flat;
+}
+
 std::vector<uint32_t> operand_heights(const wasm::Module& module,
                                       const FlatFunc& ff) {
   const uint32_t n = static_cast<uint32_t>(ff.code.size());

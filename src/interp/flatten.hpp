@@ -155,6 +155,10 @@ inline bool is_region_enter(const FlatOp& op) {
 /// Flattens one defined function of a *validated* module.
 FlatFunc flatten(const wasm::Module& module, const wasm::Function& func);
 
+/// Flattens every defined function of a *validated* module, in module
+/// order: the canonical baseline the §14 proof and the §19 pipeline read.
+std::vector<FlatFunc> flatten_module(const wasm::Module& module);
+
 /// Recomputes the basic-block partition and per-block accounting summaries
 /// of `ff` from its code, branch tables and regions. flatten() calls this;
 /// the optimisation pipeline (analysis/opt) re-calls it after editing code.

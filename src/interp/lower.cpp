@@ -3,8 +3,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "common/bytes.hpp"
-
 namespace acctee::interp {
 
 namespace {
@@ -399,112 +397,111 @@ std::vector<BcFunc> lower_module(const wasm::Module& module,
   return out;
 }
 
+void digest_flat_code(crypto::Sha256Writer& w,
+                      const std::vector<FlatOp>& code) {
+  w.record(4).u32(static_cast<uint32_t>(code.size()));
+  for (const FlatOp& op : code) {
+    w.record(23)
+        .u8(static_cast<uint8_t>(op.op))
+        .u8(op.synthetic ? 1 : 0)
+        .u8(op.arity)
+        .u32(op.a)
+        .u32(op.target_pc)
+        .u32(op.unwind)
+        .u64(op.b);
+  }
+}
+
+void digest_br_tables(crypto::Sha256Writer& w,
+                      const std::vector<std::vector<BrTarget>>& tables) {
+  w.record(4).u32(static_cast<uint32_t>(tables.size()));
+  for (const auto& table : tables) {
+    w.record(4).u32(static_cast<uint32_t>(table.size()));
+    for (const BrTarget& t : table) {
+      w.record(9).u32(t.pc).u32(t.unwind).u8(t.arity);
+    }
+  }
+}
+
+void digest_regions(crypto::Sha256Writer& w, const FlatFunc& ff) {
+  w.record(4).u32(static_cast<uint32_t>(ff.regions.size()));
+  for (const OptRegion& r : ff.regions) {
+    w.record(77)
+        .u8(static_cast<uint8_t>(r.kind))
+        .u32(r.enter_pc)
+        .u32(r.fast_begin)
+        .u32(r.fast_end)
+        .u32(r.slow_begin)
+        .u32(r.slow_end)
+        .u32(r.callee)
+        .u64(r.trips)
+        .u64(r.instr_total)
+        .u64(r.cycles_total)
+        .u64(r.counter_amount)
+        .u32(r.counter_global)
+        .u32(r.calls_folded)
+        .u32(r.frames_needed)
+        .u32(r.hist_begin)
+        .u32(r.hist_end);
+  }
+  w.record(4).u32(static_cast<uint32_t>(ff.region_hist.size()));
+  for (const BlockOpCount& h : ff.region_hist) {
+    w.record(5).u8(static_cast<uint8_t>(h.op)).u32(h.count);
+  }
+}
+
 crypto::Digest lowering_digest(const std::vector<FlatFunc>& flat,
                                const std::vector<BcFunc>& lowered,
                                const LowerOptions& options) {
-  crypto::Sha256 ctx;
   // v2 extends v1 with the optimisation-region tables; a module with no
   // regions keeps the exact v1 bytes so opt_level=0 digests are unchanged.
   bool any_regions = false;
   for (const FlatFunc& ff : flat) {
     if (!ff.regions.empty()) any_regions = true;
   }
-  const std::string_view kDomain =
-      any_regions ? "acctee.lowering.v2" : "acctee.lowering.v1";
-  ctx.update(BytesView(reinterpret_cast<const uint8_t*>(kDomain.data()),
-                       kDomain.size()));
-  Bytes buf;
-  auto u8 = [&](uint8_t v) { buf.push_back(v); };
-  auto u32 = [&](uint32_t v) { append_u32le(buf, v); };
-  auto u64 = [&](uint64_t v) { append_u64le(buf, v); };
-  auto tables = [&](const std::vector<std::vector<BrTarget>>& ts) {
-    u32(static_cast<uint32_t>(ts.size()));
-    for (const auto& table : ts) {
-      u32(static_cast<uint32_t>(table.size()));
-      for (const BrTarget& t : table) {
-        u32(t.pc);
-        u32(t.unwind);
-        u8(t.arity);
-      }
-    }
-  };
-
-  u8(options.fuse ? 1 : 0);
-  u32(static_cast<uint32_t>(flat.size()));
-  u32(static_cast<uint32_t>(lowered.size()));
-  ctx.update(buf);
+  crypto::Sha256Writer w;
+  w.bytes(any_regions ? "acctee.lowering.v2" : "acctee.lowering.v1");
+  w.record(9)
+      .u8(options.fuse ? 1 : 0)
+      .u32(static_cast<uint32_t>(flat.size()))
+      .u32(static_cast<uint32_t>(lowered.size()));
   for (size_t f = 0; f < flat.size(); ++f) {
-    buf.clear();
     const FlatFunc& ff = flat[f];
-    u32(static_cast<uint32_t>(ff.code.size()));
-    for (const FlatOp& op : ff.code) {
-      u8(static_cast<uint8_t>(op.op));
-      u8(op.synthetic ? 1 : 0);
-      u8(op.arity);
-      u32(op.a);
-      u32(op.target_pc);
-      u32(op.unwind);
-      u64(op.b);
-    }
-    tables(ff.br_tables);
-    u32(static_cast<uint32_t>(ff.blocks.size()));
+    digest_flat_code(w, ff.code);
+    digest_br_tables(w, ff.br_tables);
+    w.record(4).u32(static_cast<uint32_t>(ff.blocks.size()));
     for (const BlockCost& blk : ff.blocks) {
-      u32(blk.end_pc);
-      u32(blk.instructions);
-      u64(blk.cycles);
-      u32(blk.hist_begin);
-      u32(blk.hist_end);
+      w.record(24)
+          .u32(blk.end_pc)
+          .u32(blk.instructions)
+          .u64(blk.cycles)
+          .u32(blk.hist_begin)
+          .u32(blk.hist_end);
     }
-    u32(static_cast<uint32_t>(ff.block_hist.size()));
+    w.record(4).u32(static_cast<uint32_t>(ff.block_hist.size()));
     for (const BlockOpCount& h : ff.block_hist) {
-      u8(static_cast<uint8_t>(h.op));
-      u32(h.count);
+      w.record(5).u8(static_cast<uint8_t>(h.op)).u32(h.count);
     }
-    if (any_regions) {
-      u32(static_cast<uint32_t>(ff.regions.size()));
-      for (const OptRegion& r : ff.regions) {
-        u8(static_cast<uint8_t>(r.kind));
-        u32(r.enter_pc);
-        u32(r.fast_begin);
-        u32(r.fast_end);
-        u32(r.slow_begin);
-        u32(r.slow_end);
-        u32(r.callee);
-        u64(r.trips);
-        u64(r.instr_total);
-        u64(r.cycles_total);
-        u64(r.counter_amount);
-        u32(r.counter_global);
-        u32(r.calls_folded);
-        u32(r.frames_needed);
-        u32(r.hist_begin);
-        u32(r.hist_end);
-      }
-      u32(static_cast<uint32_t>(ff.region_hist.size()));
-      for (const BlockOpCount& h : ff.region_hist) {
-        u8(static_cast<uint8_t>(h.op));
-        u32(h.count);
-      }
-    }
+    if (any_regions) digest_regions(w, ff);
     if (f < lowered.size()) {
       const BcFunc& bf = lowered[f];
-      u32(static_cast<uint32_t>(bf.code.size()));
+      w.record(4).u32(static_cast<uint32_t>(bf.code.size()));
       for (const BcInstr& bi : bf.code) {
-        u32(static_cast<uint32_t>(bi.op));
-        u8(bi.arity);
-        u32(bi.a);
-        u32(bi.c);
-        u32(bi.target_pc);
-        u32(bi.unwind);
-        u32(bi.flat_pc);
-        u32(bi.flat_end);
-        u64(bi.b);
+        w.record(37)
+            .u32(static_cast<uint32_t>(bi.op))
+            .u8(bi.arity)
+            .u32(bi.a)
+            .u32(bi.c)
+            .u32(bi.target_pc)
+            .u32(bi.unwind)
+            .u32(bi.flat_pc)
+            .u32(bi.flat_end)
+            .u64(bi.b);
       }
-      tables(bf.br_tables);
+      digest_br_tables(w, bf.br_tables);
     }
-    ctx.update(buf);
   }
-  return ctx.finish();
+  return w.finish();
 }
 
 }  // namespace acctee::interp

@@ -53,4 +53,13 @@ crypto::Digest lowering_digest(const std::vector<FlatFunc>& flat,
                                const std::vector<BcFunc>& lowered,
                                const LowerOptions& options);
 
+/// The canonical serialization of the flat-form pieces lowering_digest
+/// shares with analysis::opt::flat_digest: a length-prefixed op array, a
+/// function's br_tables, and its regions followed by their histogram.
+void digest_flat_code(crypto::Sha256Writer& w,
+                      const std::vector<FlatOp>& code);
+void digest_br_tables(crypto::Sha256Writer& w,
+                      const std::vector<std::vector<BrTarget>>& tables);
+void digest_regions(crypto::Sha256Writer& w, const FlatFunc& ff);
+
 }  // namespace acctee::interp

@@ -256,8 +256,16 @@ TEST(Hierarchy, ResetRestoresColdThrashBehaviour) {
   // The gateway freelists rely on reset() being bit-exact: a thrashed
   // hierarchy after reset() must charge the same cycles, access for
   // access, as a fresh one — including prefetcher state (last-line).
+  // The thrash has two phases. First a set conflict: addresses `stride`
+  // apart share one set in every level, and 17 of them overflow the 16-way
+  // LLC, so every access of the cyclic sweep misses. Then random traffic.
   const uint64_t stride = 512 * 1024;
+  const int lines = 17;
   Hierarchy used;
+  for (int i = 0; i < 3 * lines; ++i) {
+    used.access(uint64_t(i % lines) * stride, 8, (i & 3) == 0);
+  }
+  ASSERT_EQ(used.llc_misses(), uint64_t(3 * lines));
   Xoshiro256 rng(7);
   for (int i = 0; i < 50000; ++i) {
     used.access(rng.next_below(64ull * 1024 * 1024), 8, (i & 3) == 0);

@@ -5,7 +5,10 @@
 //    property, and the lowered form binds to the optimised flat form;
 //  * determinism — same inputs, same bytes, across independent pipeline
 //    runs, re-application to already-optimised code, and independent IE
-//    instances (the evidence v4 trail is reproducible bit-for-bit);
+//    instances (the evidence v4 trail is reproducible bit-for-bit), with
+//    the canonical digests pinned for one workload;
+//  * reuse — a pass that changes nothing inherits its input's proof, and
+//    the resulting trail equals one proved from scratch;
 //  * observational identity — ExecStats, checkpoint firings, the counter
 //    global and every signed ledger byte are bit-identical between
 //    opt_level=0 and opt_level=max, in batched execution and in the oracle
@@ -14,20 +17,23 @@
 // pass trails, and the hostile opt-mutation corpus has zero false accepts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/mutate.hpp"
-#include "common/error.hpp"
+#include "analysis/opt/internal.hpp"
 #include "analysis/opt/opt.hpp"
 #include "analysis/verifier.hpp"
+#include "common/error.hpp"
 #include "core/accounting_enclave.hpp"
 #include "core/instrumentation_enclave.hpp"
 #include "instrument/passes.hpp"
 #include "sgx/platform.hpp"
 #include "wasm/binary.hpp"
 #include "wasm/wat_parser.hpp"
+#include "workloads/faas_functions.hpp"
 #include "workloads/microbench.hpp"
 #include "workloads/polybench.hpp"
 #include "workloads/usecases.hpp"
@@ -190,6 +196,273 @@ TEST(OptPipeline, DeterministicAndIdempotent) {
     }
     EXPECT_TRUE(analysis::opt::flat_equal(again.flat, first.flat)) << trail;
   }
+}
+
+// Every bundled workload, as `acctee verify-instr --builtin` sweeps them.
+std::vector<std::pair<std::string, wasm::Module>> builtin_modules() {
+  std::vector<std::pair<std::string, wasm::Module>> out;
+  for (const workloads::KernelFactory& kernel : workloads::polybench()) {
+    out.emplace_back(kernel.name, kernel.build(6));
+  }
+  for (const workloads::UseCase& usecase : workloads::usecases()) {
+    out.emplace_back(usecase.name, usecase.build());
+  }
+  out.emplace_back("faas_echo", workloads::faas_echo());
+  out.emplace_back("faas_resize", workloads::faas_resize());
+  out.emplace_back("leaf_call", workloads::leaf_call_bench());
+  return out;
+}
+
+uint32_t total_blocks(const std::vector<interp::FlatFunc>& flat) {
+  uint32_t blocks = 0;
+  for (const interp::FlatFunc& ff : flat) {
+    blocks += static_cast<uint32_t>(ff.blocks.size());
+  }
+  return blocks;
+}
+
+// count_hot_increments' reference: every pc tested against every region's
+// slow copy.
+uint32_t hot_increments_by_scan(const std::vector<interp::FlatFunc>& flat,
+                                uint32_t counter_global) {
+  uint32_t count = 0;
+  for (const interp::FlatFunc& ff : flat) {
+    auto in_slow = [&](uint32_t pc) {
+      return std::any_of(ff.regions.begin(), ff.regions.end(),
+                         [&](const interp::OptRegion& r) {
+                           return pc >= r.slow_begin && pc < r.slow_end;
+                         });
+    };
+    for (uint32_t pc = 0; pc < ff.code.size(); ++pc) {
+      if (in_slow(pc)) continue;
+      if (analysis::opt::detail::increment_amount_at(ff.code, pc,
+                                                     counter_global)) {
+        ++count;
+        pc += 3;
+      }
+    }
+  }
+  return count;
+}
+
+// The trail run_pipeline would give if it proved every pass output from
+// scratch: each detail::pass_* in order, every output re-proved, digested
+// and counted on its own.
+std::vector<analysis::opt::PassReport> fresh_trail(
+    const wasm::Module& module, std::vector<interp::FlatFunc> flat,
+    uint32_t counter_global, uint32_t level,
+    const instrument::WeightTable& weights,
+    const instrument::HostChargePolicy& host_charge) {
+  namespace detail = analysis::opt::detail;
+  std::vector<analysis::opt::PassReport> trail;
+  for (const char* name : {"dead-blocks", "coalesce-calls", "fold-loops"}) {
+    const std::string pass = name;
+    if (level < (pass == "fold-loops" ? 2u : 1u)) continue;
+    analysis::opt::PassReport r;
+    r.name = pass;
+    r.blocks_before = total_blocks(flat);
+    r.increments_before =
+        analysis::opt::count_hot_increments(flat, counter_global);
+    std::vector<interp::FlatFunc> next =
+        pass == "dead-blocks"
+            ? detail::pass_dead_blocks(module, flat, &r.ops_elided)
+        : pass == "coalesce-calls"
+            ? detail::pass_coalesce_calls(module, flat, counter_global,
+                                          weights, host_charge,
+                                          &r.regions_added)
+            : detail::pass_fold_loops(module, flat, counter_global,
+                                      level >= 3, &r.regions_added);
+    analysis::opt::OptVerifyResult proof =
+        analysis::opt::verify_optimised_module(module, next, counter_global,
+                                               weights, host_charge);
+    EXPECT_TRUE(proof.ok) << pass << ": " << proof.error;
+    r.cost_vector_digest = proof.cost_vector_digest;
+    r.flat_digest = analysis::opt::flat_digest(next);
+    r.blocks_after = total_blocks(next);
+    r.increments_after =
+        analysis::opt::count_hot_increments(next, counter_global);
+    EXPECT_EQ(r.increments_after, hot_increments_by_scan(next, counter_global))
+        << pass;
+    trail.push_back(std::move(r));
+    flat = std::move(next);
+  }
+  return trail;
+}
+
+// An inherited proof is the one a fresh proof would give: over every
+// bundled workload, instrumentation pass and opt level, the pipeline's
+// trail equals the trail rebuilt by proving every pass output from scratch
+// (proof times aside), with and without the caller's baseline verdict.
+TEST(OptPipeline, InheritedProofsEqualFreshOnes) {
+  const instrument::WeightTable weights = instrument::WeightTable::unit();
+  const instrument::HostChargePolicy host_charge;
+  size_t inherited = 0;
+  for (const auto& [name, module] : builtin_modules()) {
+    for (instrument::PassKind kind : pass_kinds()) {
+      Prepared p = prepare(module, kind);
+      const wasm::Module& m = p.baseline->module();
+      const uint32_t counter = p.instrumented.counter_global;
+      const analysis::opt::OptVerifyResult baseline_proof =
+          analysis::opt::verify_optimised_module(m, p.baseline->flat(),
+                                                 counter, weights,
+                                                 host_charge);
+      ASSERT_TRUE(baseline_proof.ok) << name << ": " << baseline_proof.error;
+      for (uint32_t level = 1; level <= analysis::opt::kMaxOptLevel;
+           ++level) {
+        SCOPED_TRACE(name + " kind=" +
+                     std::to_string(static_cast<int>(kind)) + " L" +
+                     std::to_string(level));
+        const std::vector<analysis::opt::PassReport> want =
+            fresh_trail(m, p.baseline->flat(), counter, level, weights,
+                        host_charge);
+        for (const analysis::opt::OptVerifyResult* seed :
+             {static_cast<const analysis::opt::OptVerifyResult*>(nullptr),
+              &baseline_proof}) {
+          analysis::opt::PipelineResult pr = analysis::opt::run_pipeline(
+              m, p.baseline->flat(), counter, level, weights, host_charge,
+              seed);
+          ASSERT_EQ(pr.trail.passes.size(), want.size());
+          for (size_t i = 0; i < want.size(); ++i) {
+            const analysis::opt::PassReport& got = pr.trail.passes[i];
+            EXPECT_EQ(got.name, want[i].name);
+            EXPECT_EQ(got.cost_vector_digest, want[i].cost_vector_digest)
+                << got.name;
+            EXPECT_EQ(got.flat_digest, want[i].flat_digest) << got.name;
+            EXPECT_EQ(got.blocks_before, want[i].blocks_before) << got.name;
+            EXPECT_EQ(got.blocks_after, want[i].blocks_after) << got.name;
+            EXPECT_EQ(got.increments_before, want[i].increments_before)
+                << got.name;
+            EXPECT_EQ(got.increments_after, want[i].increments_after)
+                << got.name;
+            EXPECT_EQ(got.regions_added, want[i].regions_added) << got.name;
+            EXPECT_EQ(got.ops_elided, want[i].ops_elided) << got.name;
+            if (got.proof_inherited) {
+              EXPECT_EQ(got.proof_micros, 0u) << got.name;
+              ++inherited;
+            }
+          }
+          // A seeded baseline is never proved again.
+          if (seed != nullptr) {
+            EXPECT_EQ(pr.baseline_proof_micros, 0u);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(inherited, 0u);
+}
+
+// On gemm the loop fold changes the code and gets its own proof; the dead-
+// block and coalesce passes leave it unchanged and inherit.
+TEST(OptPipeline, GemmFoldIsProvedAndUnchangedPassesInherit) {
+  const instrument::WeightTable weights = instrument::WeightTable::unit();
+  Prepared p = prepare(workloads::build_polybench("gemm", 8),
+                       instrument::PassKind::LoopBased);
+  analysis::opt::PipelineResult pr = analysis::opt::run_pipeline(
+      p.baseline->module(), p.baseline->flat(), p.instrumented.counter_global,
+      analysis::opt::kMaxOptLevel, weights, {});
+  ASSERT_EQ(pr.trail.passes.size(), 3u);
+  EXPECT_EQ(pr.trail.passes[0].name, "dead-blocks");
+  EXPECT_TRUE(pr.trail.passes[0].proof_inherited);
+  EXPECT_EQ(pr.trail.passes[1].name, "coalesce-calls");
+  EXPECT_TRUE(pr.trail.passes[1].proof_inherited);
+  EXPECT_EQ(pr.trail.passes[2].name, "fold-loops");
+  EXPECT_FALSE(pr.trail.passes[2].proof_inherited);
+  EXPECT_GT(pr.trail.passes[2].regions_added, 0u);
+}
+
+// run_pipeline takes a baseline verdict only if it is an accepting proof
+// of a module with the baseline's function count.
+TEST(OptPipeline, RefusesForeignOrFailedBaselineVerdict) {
+  const instrument::WeightTable weights = instrument::WeightTable::unit();
+  Prepared gemm = prepare(workloads::build_polybench("gemm", 8),
+                          instrument::PassKind::LoopBased);
+  Prepared leaf = prepare(workloads::leaf_call_bench(),
+                          instrument::PassKind::FlowBased);
+  const uint32_t counter = gemm.instrumented.counter_global;
+  auto run = [&](const analysis::opt::OptVerifyResult& verdict) {
+    return analysis::opt::run_pipeline(
+        gemm.baseline->module(), gemm.baseline->flat(), counter,
+        analysis::opt::kMaxOptLevel, weights, {}, &verdict);
+  };
+
+  const analysis::opt::OptVerifyResult own =
+      analysis::opt::verify_optimised_module(
+          gemm.baseline->module(), gemm.baseline->flat(), counter, weights,
+          {});
+  ASSERT_TRUE(own.ok) << own.error;
+  EXPECT_NO_THROW(run(own));
+
+  const analysis::opt::OptVerifyResult foreign =
+      analysis::opt::verify_optimised_module(
+          leaf.baseline->module(), leaf.baseline->flat(),
+          leaf.instrumented.counter_global, weights, {});
+  ASSERT_TRUE(foreign.ok) << foreign.error;
+  ASSERT_NE(foreign.cost_vector.size(), own.cost_vector.size());
+  EXPECT_THROW(run(foreign), Error);
+
+  // A real rejection: the proof run against the wrong counter global.
+  const analysis::opt::OptVerifyResult failed =
+      analysis::opt::verify_optimised_module(
+          gemm.baseline->module(), gemm.baseline->flat(), counter + 1,
+          weights, {});
+  ASSERT_FALSE(failed.ok);
+  EXPECT_THROW(run(failed), Error);
+}
+
+// The digests the middle-end and the lowering serialize, pinned for one
+// workload (gemm n=8, loop-based, unit weights). Any change to a canonical
+// serialization (field order, width, byte order, domain) moves one of them,
+// and with it every IE signature and AE comparison.
+TEST(OptDigests, PinnedForGemmLoopBased) {
+  const instrument::WeightTable weights = instrument::WeightTable::unit();
+  const wasm::Module original = workloads::build_polybench("gemm", 8);
+  Prepared p = prepare(original, instrument::PassKind::LoopBased);
+  const uint32_t counter = p.instrumented.counter_global;
+  auto hex = [](const crypto::Digest& d) { return crypto::digest_hex(d); };
+  const std::string baseline_flat =
+      "57db93aef0d8b73f916796a149eaa425d56afdddd1f091406abdce76c2a95a84";
+  const std::string l3_flat =
+      "2f816862ae276b9798cc106c32ab05e3a91ccc2a0e3f91503d8f7adb04d9612f";
+  const std::string cost =
+      "236a876e45c3a10dd457220bc64ab2a92c70e04b46491b7645f63db8b85f38fa";
+
+  EXPECT_EQ(hex(analysis::opt::flat_digest(p.baseline->flat())),
+            baseline_flat);
+  EXPECT_EQ(hex(analysis::cost_vector_digest(
+                analysis::naive_cost_vector(original, weights))),
+            cost);
+  // acctee.lowering.v1: no regions.
+  EXPECT_EQ(hex(p.baseline->lowering_digest()),
+            "c254e6a764a9e4261b758e2d9a88b36b7d77abc7f53903590cdbf5af583b5bb6");
+
+  analysis::opt::PipelineResult pr = analysis::opt::run_pipeline(
+      p.baseline->module(), p.baseline->flat(), counter,
+      analysis::opt::kMaxOptLevel, weights, {});
+  EXPECT_EQ(hex(analysis::opt::flat_digest(pr.flat)), l3_flat);
+  const std::vector<std::string> trail_flat = {baseline_flat, baseline_flat,
+                                               l3_flat};
+  ASSERT_EQ(pr.trail.passes.size(), trail_flat.size());
+  for (size_t i = 0; i < trail_flat.size(); ++i) {
+    EXPECT_EQ(hex(pr.trail.passes[i].flat_digest), trail_flat[i]);
+    EXPECT_EQ(hex(pr.trail.passes[i].cost_vector_digest), cost);
+  }
+  // acctee.lowering.v2: the fold regions are serialized too.
+  interp::CompiledModulePtr optimised = analysis::opt::optimise_compiled(
+      p.baseline, counter, analysis::opt::kMaxOptLevel, weights, {});
+  EXPECT_EQ(hex(optimised->lowering_digest()),
+            "afeb91245f2d9945283c58aebd8a4541162b97293787fabc79a70a44303e5de9");
+
+  instrument::InstrumentOptions opts;
+  opts.pass = instrument::PassKind::LoopBased;
+  opts.weights = weights;
+  opts.opt_level = analysis::opt::kMaxOptLevel;
+  sgx::Platform host{"ie-host", to_bytes("ie-seed")};
+  core::InstrumentationEnclave ie(host, opts);
+  core::InstrumentationEnclave::Output out =
+      ie.instrument_binary(wasm::encode(original));
+  EXPECT_EQ(hex(crypto::sha256(out.evidence.signed_payload())),
+            "1b9c7b3f8e2fba999e728ddcf822a585e0469fae8b5aac0c3b044a423e110758");
 }
 
 // Evidence determinism across process-independent IE instances: two IEs
@@ -450,6 +723,34 @@ TEST(OptMutation, ZeroFalseAcceptsOnTransformedWorkloads) {
   }
   // The corpus is only meaningful if mutants actually exist on this corpus.
   EXPECT_GT(sites_total, 0u);
+}
+
+// A hostile flat form whose region's slow copy starts at pc 0 (the marker
+// retargeted with it) is rejected as reachable by fall-through; the check
+// must not read the op before pc 0.
+TEST(OptMutation, RejectsSlowCopyAtPcZero) {
+  const instrument::WeightTable weights = instrument::WeightTable::unit();
+  Prepared p = prepare(workloads::build_polybench("gemm", 8),
+                       instrument::PassKind::LoopBased);
+  analysis::opt::PipelineResult pr = analysis::opt::run_pipeline(
+      p.baseline->module(), p.baseline->flat(), p.instrumented.counter_global,
+      analysis::opt::kMaxOptLevel, weights, {});
+  auto with_region = std::find_if(
+      pr.flat.begin(), pr.flat.end(),
+      [](const interp::FlatFunc& ff) { return !ff.regions.empty(); });
+  ASSERT_NE(with_region, pr.flat.end());
+  interp::OptRegion& region = with_region->regions[0];
+  with_region->code[region.enter_pc].target_pc = 0;
+  region.slow_begin = 0;
+
+  analysis::opt::OptVerifyResult verdict =
+      analysis::opt::verify_optimised_module(
+          p.baseline->module(), pr.flat, p.instrumented.counter_global,
+          weights, {});
+  EXPECT_FALSE(verdict.ok);
+  EXPECT_NE(verdict.error.find("slow copy reachable by fall-through"),
+            std::string::npos)
+      << verdict.error;
 }
 
 // The frame reservation is computed over the flat code actually lowered. A

@@ -454,11 +454,22 @@ int verify_opt_pipeline(const interp::CompiledModulePtr& compiled,
   std::printf("  %-16s %14s %16s %8s %7s %10s\n", "pass", "blocks",
               "increments", "regions", "elided", "proof");
   for (const analysis::opt::PassReport& p : pr.trail.passes) {
-    std::printf("  %-16s %6u -> %-6u %7u -> %-6u %8u %7u %7.2f ms\n",
+    // An unchanged output inherits its input's proof: no proof ran.
+    char proof[32];
+    if (p.proof_inherited) {
+      std::snprintf(proof, sizeof proof, "inherited");
+    } else {
+      std::snprintf(proof, sizeof proof, "%.2f ms",
+                    static_cast<double>(p.proof_micros) / 1000.0);
+    }
+    std::printf("  %-16s %6u -> %-6u %7u -> %-6u %8u %7u %10s\n",
                 p.name.c_str(), p.blocks_before, p.blocks_after,
                 p.increments_before, p.increments_after, p.regions_added,
-                p.ops_elided,
-                static_cast<double>(p.proof_micros) / 1000.0);
+                p.ops_elided, proof);
+  }
+  if (pr.baseline_proof_micros != 0) {
+    std::printf("  baseline proof %.2f ms, inherited by unchanged passes\n",
+                static_cast<double>(pr.baseline_proof_micros) / 1000.0);
   }
   if (pr.trail.passes.empty()) {
     std::printf("  (level %u enables no passes)\n", pr.trail.opt_level);
@@ -469,14 +480,16 @@ int verify_opt_pipeline(const interp::CompiledModulePtr& compiled,
   }
   // Bind the lowering of the transformed form too (the interpreter would
   // execute it).
-  interp::CompiledModulePtr optimised = analysis::opt::optimise_compiled(
-      compiled, counter_global, opt_level, weights, {});
-  if (auto err = analysis::check_lowering(*optimised)) {
+  interp::CompiledModule::CompileOptions copts;
+  copts.lower = compiled->lower_options();
+  interp::CompiledModule optimised(compiled->module(), std::move(pr.flat),
+                                   copts, compiled->validated());
+  if (auto err = analysis::check_lowering(optimised)) {
     std::printf("FAIL: optimised lowering binding: %s\n", err->c_str());
     return 1;
   }
   std::printf("optimised lowering digest: %s\n",
-              crypto::digest_hex(optimised->lowering_digest()).c_str());
+              crypto::digest_hex(optimised.lowering_digest()).c_str());
   return 0;
 }
 

@@ -1,11 +1,13 @@
 // google-benchmark microbenchmarks of AccTEE's own components: interpreter
 // dispatch rate, instrumentation pass latency, SHA-256 / Lamport signing
-// throughput, and attestation round trips. These are engineering
+// throughput, offline ledger verification, and attestation round trips. These are engineering
 // benchmarks (regression tracking), not paper-figure reproductions.
 #include <benchmark/benchmark.h>
 
 #include "analysis/opt/opt.hpp"
 #include "analysis/verifier.hpp"
+#include "audit/ledger.hpp"
+#include "audit/verifier.hpp"
 #include "core/accounting_enclave.hpp"
 #include "core/instrumentation_enclave.hpp"
 #include "core/runtime_env.hpp"
@@ -310,6 +312,34 @@ void BM_Sha256(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256)->Arg(32)->Arg(1024)->Arg(1 << 20);
 
+// Rows that hash batches through sha256_many name both paths the CPU
+// picked: the one-message compression and the multi-message path.
+std::string hash_label() {
+  return std::string(crypto::sha256_backend()) + ", " +
+         std::string(crypto::sha256_many_backend());
+}
+
+// One sha256_many batch: /32 is 256 revealed-preimage-sized messages, /16384
+// is 32 one-time public keys.
+void BM_Sha256Many(benchmark::State& state) {
+  size_t length = static_cast<size_t>(state.range(0));
+  size_t count = length == 32 ? 256 : 32;
+  Bytes data(count * length);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<uint8_t>(i);
+  std::vector<const uint8_t*> messages(count);
+  for (size_t i = 0; i < count; ++i) messages[i] = data.data() + i * length;
+  std::vector<crypto::Digest> out(count);
+  for (auto _ : state) {
+    crypto::sha256_many(messages, length, out);
+    benchmark::DoNotOptimize(out[0][0]);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(count));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(count * length));
+  state.SetLabel(hash_label());
+}
+BENCHMARK(BM_Sha256Many)->Arg(32)->Arg(16384);
+
 // One Lamport key: 512 PRF calls and 512 preimage hashes.
 void BM_LamportKeygen(benchmark::State& state) {
   Bytes seed = to_bytes("bench");
@@ -317,7 +347,7 @@ void BM_LamportKeygen(benchmark::State& state) {
     crypto::LamportKeyPair kp = crypto::LamportKeyPair::from_seed(seed);
     benchmark::DoNotOptimize(kp.pub.hashes[0][0]);
   }
-  state.SetLabel(std::string(crypto::sha256_backend()));
+  state.SetLabel(hash_label());
 }
 BENCHMARK(BM_LamportKeygen);
 
@@ -329,7 +359,7 @@ void BM_LamportSign(benchmark::State& state) {
     crypto::Signature sig = signer.sign(message);
     benchmark::DoNotOptimize(sig.lamport.revealed[0][0]);
   }
-  state.SetLabel(std::string(crypto::sha256_backend()));
+  state.SetLabel(hash_label());
 }
 BENCHMARK(BM_LamportSign)->Iterations(256);
 
@@ -341,9 +371,46 @@ void BM_LamportVerify(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::signature_verify(id, message, sig));
   }
-  state.SetLabel(std::string(crypto::sha256_backend()));
+  state.SetLabel(hash_label());
 }
 BENCHMARK(BM_LamportVerify);
+
+// audit::verify_ledger over a sealed ledger of 512 billed echo requests,
+// checkpointed every 64 as the gateway does; per_entry is the time per
+// ledger entry.
+void BM_LedgerVerify(benchmark::State& state) {
+  constexpr int kEntries = 512;
+  sgx::Platform platform("bench", to_bytes("seed"));
+  instrument::InstrumentOptions options;
+  core::InstrumentationEnclave ie(platform, options, 4);
+  auto output = ie.instrument_binary(wasm::encode(workloads::faas_echo()));
+  core::AccountingEnclave::Config config;
+  config.trusted_ie_identity = ie.identity();
+  config.instrumentation = options;
+  config.signing_capacity = kEntries + kEntries / 64;
+  core::AccountingEnclave ae(platform, config);
+  audit::Ledger ledger(64);
+  ledger.set_ae_identity(ae.identity());
+  ledger.set_checkpoint_signer(
+      [&ae](BytesView payload) { return ae.sign_checkpoint(payload); });
+  Bytes image = workloads::make_test_image(16, 1);
+  for (int i = 0; i < kEntries; ++i) {
+    auto outcome =
+        ae.execute(output.instrumented_binary, output.evidence, "run", {},
+                   image);
+    ledger.append({"tenant", "echo", outcome.signed_log});
+  }
+  ledger.seal();
+  for (auto _ : state) {
+    audit::VerifyReport report = audit::verify_ledger(ledger, ae.identity());
+    if (!report.ok) state.SkipWithError("the ledger does not verify");
+  }
+  state.counters["per_entry"] = benchmark::Counter(
+      kEntries, benchmark::Counter::kIsIterationInvariantRate |
+                    benchmark::Counter::kInvert);
+  state.SetLabel(hash_label());
+}
+BENCHMARK(BM_LedgerVerify)->Unit(benchmark::kMillisecond);
 
 void BM_EndToEndAccountedExecution(benchmark::State& state) {
   sgx::Platform platform("bench", to_bytes("seed"));

@@ -45,14 +45,24 @@ VerifyReport verify_ledger(const Ledger& ledger,
   // prev_log_hash preimage and its checkpoint leaf: serialize once.
   std::vector<Bytes> serialized;
   serialized.reserve(entries.size());
+  std::vector<BytesView> messages;
+  messages.reserve(entries.size());
+  std::vector<const crypto::Signature*> signatures;
+  signatures.reserve(entries.size());
+  for (const LedgerEntry& entry : entries) {
+    serialized.push_back(entry.signed_log.log.serialize());
+    messages.push_back(serialized.back());
+    signatures.push_back(&entry.signed_log.signature);
+  }
+  // One batch, so the one-time keys' fingerprints hash sixteen at a time.
+  std::vector<bool> signature_ok =
+      crypto::signature_verify_many(ae_identity, messages, signatures);
 
   // 1-3. Per-entry signatures, sequence continuity, hash chain.
   for (size_t i = 0; i < entries.size(); ++i) {
     const core::SignedResourceLog& slog = entries[i].signed_log;
     ++report.entries_checked;
-    serialized.push_back(slog.log.serialize());
-    if (!crypto::signature_verify(ae_identity, serialized[i],
-                                  slog.signature)) {
+    if (!signature_ok[i]) {
       problem("entry " + std::to_string(i) + " (sequence " +
               std::to_string(slog.log.sequence) +
               "): signature does not verify against the AE identity "

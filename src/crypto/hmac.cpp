@@ -1,6 +1,7 @@
 #include "crypto/hmac.hpp"
 
 #include <algorithm>
+#include <vector>
 
 namespace acctee::crypto {
 
@@ -31,6 +32,15 @@ Digest HmacSha256::mac(BytesView message) const {
   Sha256 outer = outer_;
   outer.update(BytesView(inner_digest.data(), inner_digest.size()));
   return outer.finish();
+}
+
+void HmacSha256::mac_many(std::span<const uint8_t* const> messages,
+                          size_t length, std::span<Digest> out) const {
+  sha256_many(messages, length, out, inner_);
+  // Each inner digest is hashed in place into its MAC.
+  std::vector<const uint8_t*> inner_digests(out.size());
+  for (size_t i = 0; i < out.size(); ++i) inner_digests[i] = out[i].data();
+  sha256_many(inner_digests, sizeof(Digest), out, outer_);
 }
 
 Digest hmac_sha256(BytesView key, BytesView message) {

@@ -20,6 +20,13 @@ class HmacSha256 {
   /// HMAC-SHA-256(key, message).
   Digest mac(BytesView message) const;
 
+  /// out[i] = mac() of the `length` bytes at messages[i], in two
+  /// sha256_many passes: the inner hashes from the ipad midstate, then the
+  /// outer hashes of the inner digests from the opad midstate. Throws
+  /// std::invalid_argument unless `out` has one slot per message.
+  void mac_many(std::span<const uint8_t* const> messages, size_t length,
+                std::span<Digest> out) const;
+
  private:
   Sha256 inner_;
   Sha256 outer_;

@@ -7,17 +7,16 @@
 
 namespace acctee::crypto {
 
-Digest LamportPublicKey::fingerprint() const {
-  Sha256 ctx;
-  for (const auto& h : hashes) ctx.update(BytesView(h.data(), h.size()));
-  return ctx.finish();
+BytesView LamportPublicKey::bytes() const {
+  static_assert(sizeof(hashes) == 2 * kLamportSlots * 32,
+                "the slot hashes are one contiguous array");
+  return BytesView(hashes[0].data(), sizeof(hashes));
 }
 
+Digest LamportPublicKey::fingerprint() const { return sha256(bytes()); }
+
 Bytes LamportPublicKey::serialize() const {
-  Bytes out;
-  out.reserve(2 * kLamportSlots * 32);
-  for (const auto& h : hashes) append(out, BytesView(h.data(), h.size()));
-  return out;
+  return Bytes(bytes().begin(), bytes().end());
 }
 
 LamportPublicKey LamportPublicKey::deserialize(BytesView data) {
@@ -50,21 +49,25 @@ LamportSignature LamportSignature::deserialize(BytesView data) {
 }
 
 LamportKeyPair LamportKeyPair::from_seed(BytesView seed) {
-  LamportKeyPair kp;
-  HmacSha256 prf(seed);
-  // Preimage_i = HMAC(seed, "lamport-slot" || u32le(i)): one PRF call per
-  // slot.
+  // Preimage_i = HMAC(seed, "lamport-slot" || u32le(i)), and its public
+  // hash: two batches of 512 independent equal-length hashes.
   constexpr std::string_view kPrefix = "lamport-slot";
-  std::array<uint8_t, kPrefix.size() + 4> label{};
-  std::copy(kPrefix.begin(), kPrefix.end(), label.begin());
-  for (size_t i = 0; i < 2 * kLamportSlots; ++i) {
+  constexpr size_t kKeys = 2 * kLamportSlots;
+  std::array<std::array<uint8_t, kPrefix.size() + 4>, kKeys> labels{};
+  std::array<const uint8_t*, kKeys> messages{};
+  for (size_t i = 0; i < kKeys; ++i) {
+    std::copy(kPrefix.begin(), kPrefix.end(), labels[i].begin());
     for (size_t b = 0; b < 4; ++b) {
-      label[kPrefix.size() + b] = static_cast<uint8_t>(i >> (8 * b));
+      labels[i][kPrefix.size() + b] = static_cast<uint8_t>(i >> (8 * b));
     }
-    Digest pre = prf.mac(BytesView(label.data(), label.size()));
-    std::copy(pre.begin(), pre.end(), kp.priv.preimages[i].begin());
-    kp.pub.hashes[i] = sha256(BytesView(pre.data(), pre.size()));
+    messages[i] = labels[i].data();
   }
+  LamportKeyPair kp;
+  HmacSha256(seed).mac_many(messages, labels[0].size(), kp.priv.preimages);
+  for (size_t i = 0; i < kKeys; ++i) {
+    messages[i] = kp.priv.preimages[i].data();
+  }
+  sha256_many(messages, sizeof(Digest), kp.pub.hashes);
   return kp;
 }
 
@@ -80,13 +83,19 @@ LamportSignature lamport_sign(const LamportPrivateKey& priv, BytesView message) 
 
 bool lamport_verify(const LamportPublicKey& pub, BytesView message,
                     const LamportSignature& sig) {
+  std::array<const uint8_t*, kLamportSlots> revealed{};
+  for (size_t bit = 0; bit < kLamportSlots; ++bit) {
+    revealed[bit] = sig.revealed[bit].data();
+  }
+  std::array<Digest, kLamportSlots> hashes{};
+  sha256_many(revealed, sizeof(Digest), hashes);
   Digest md = sha256(message);
+  bool ok = true;
   for (size_t bit = 0; bit < kLamportSlots; ++bit) {
     int value = (md[bit / 8] >> (7 - bit % 8)) & 1;
-    Digest h = sha256(BytesView(sig.revealed[bit].data(), 32));
-    if (h != pub.hashes[2 * bit + value]) return false;
+    ok &= hashes[bit] == pub.hashes[2 * bit + value];
   }
-  return true;
+  return ok;
 }
 
 }  // namespace acctee::crypto

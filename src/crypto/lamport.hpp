@@ -28,7 +28,11 @@ struct LamportPrivateKey {
 struct LamportPublicKey {
   std::array<Digest, 2 * kLamportSlots> hashes;
 
-  /// Compact commitment to this public key (hash of all slot hashes).
+  /// The slot hashes as one contiguous run of 2 * kLamportSlots * 32
+  /// bytes: the serialized key, and what fingerprint() hashes.
+  BytesView bytes() const;
+
+  /// Compact commitment to this public key: SHA-256 of bytes().
   Digest fingerprint() const;
 
   Bytes serialize() const;

@@ -1,6 +1,8 @@
 #include "crypto/sha256.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 #if defined(__x86_64__)
 #include <cpuid.h>
@@ -45,6 +47,23 @@ bool cpu_has_sha_ni() {
   if ((ecx & kSsse3) == 0 || (ecx & kSse41) == 0) return false;
   if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
   return (ebx & kSha) != 0;
+}
+
+// AVX-512F, on an OS that saves the opmask and ZMM registers.
+bool cpu_has_avx512f() {
+  constexpr unsigned kOsxsave = 1u << 27;  // CPUID.1:ECX
+  constexpr unsigned kAvx512f = 1u << 16;  // CPUID.(EAX=7,ECX=0):EBX
+  // XCR0: SSE, AVX, opmask, upper halves of ZMM0-15, ZMM16-31.
+  constexpr unsigned kZmmState =
+      (1u << 1) | (1u << 2) | (1u << 5) | (1u << 6) | (1u << 7);
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  if ((ecx & kOsxsave) == 0) return false;
+  unsigned xcr0 = 0, xcr0_high = 0;
+  __asm__("xgetbv" : "=a"(xcr0), "=d"(xcr0_high) : "c"(0));
+  if ((xcr0 & kZmmState) != kZmmState) return false;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (ebx & kAvx512f) != 0;
 }
 
 // Message words W[4g..4g+3] from the four previous groups.
@@ -93,19 +112,231 @@ const Backend& backend() {
   return chosen;
 }
 
+uint32_t load_be32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) << 24 | static_cast<uint32_t>(p[1]) << 16 |
+         static_cast<uint32_t>(p[2]) << 8 | static_cast<uint32_t>(p[3]);
+}
+
+void store_be32(uint8_t* p, uint32_t v) {
+  p[0] = static_cast<uint8_t>(v >> 24);
+  p[1] = static_cast<uint8_t>(v >> 16);
+  p[2] = static_cast<uint8_t>(v >> 8);
+  p[3] = static_cast<uint8_t>(v);
+}
+
+// Writes in place: a digest built on the stack and then copied would be
+// read back by a wide load its narrow stores cannot forward to.
+void store_digest(const Sha256State& state, Digest& out) {
+  for (size_t i = 0; i < 8; ++i) store_be32(out.data() + 4 * i, state[i]);
+}
+
+// The last one or two blocks of a `total`-byte message whose partial block
+// holds `rem` bytes: the 0x80 marker, zeros and the bit length, with the
+// first `rem` bytes left for the message. Returns the block count.
+using Tail = std::array<uint8_t, 128>;
+size_t pad_tail(Tail& tail, size_t rem, uint64_t total) {
+  tail.fill(0);
+  tail[rem] = 0x80;
+  size_t blocks = rem < 56 ? 1 : 2;
+  uint64_t bits = total * 8;
+  for (size_t i = 0; i < 8; ++i) {
+    tail[64 * blocks - 8 + i] = static_cast<uint8_t>(bits >> (56 - 8 * i));
+  }
+  return blocks;
+}
+
+// ---- Sixteen messages in lockstep ----------------------------------------
+
+constexpr size_t kLanes = 16;
+using LaneBlocks = std::array<const uint8_t*, kLanes>;
+
+// Sixteen messages of one sha256_many call, hashed in lockstep: each lane
+// starts from *start, absorbs `whole` blocks at blocks[lane] and then
+// `tail_blocks` at tails[lane], and its digest goes to out[lane].
+struct LaneGroup {
+  const Sha256State* start;
+  LaneBlocks blocks;
+  size_t whole;
+  LaneBlocks tails;
+  size_t tail_blocks;
+  Digest* out;
+};
+
+// One 32-bit word of each of the sixteen messages.
+using Lanes = uint32_t __attribute__((vector_size(4 * kLanes)));
+
+// A lane-wise rotate. A macro, not a function: a vector passed or returned
+// by value across a call changes ABI with the target (GCC's -Wpsabi).
+#define ACCTEE_ROTR(x, n) (((x) >> (n)) | ((x) << (32 - (n))))
+
+// Plain operators on the vector type, which GCC turns into vprord and
+// vpternlogd under AVX-512F: each wrapper below compiles this body for its
+// own target. Vector k of the state holds word k of every lane, and the
+// message words are transposed into vectors with scalar loads.
+[[gnu::always_inline]] inline void hash_lanes(const LaneGroup& group) {
+  Lanes s[8];
+  for (size_t k = 0; k < 8; ++k) s[k] = Lanes{} + (*group.start)[k];
+  for (size_t n = 0; n < group.whole + group.tail_blocks; ++n) {
+    const LaneBlocks& src = n < group.whole ? group.blocks : group.tails;
+    size_t offset = 64 * (n < group.whole ? n : n - group.whole);
+    Lanes w[16];
+    for (size_t t = 0; t < 16; ++t) {
+      alignas(sizeof(Lanes)) uint32_t word[kLanes];
+      for (size_t lane = 0; lane < kLanes; ++lane) {
+        word[lane] = load_be32(src[lane] + offset + 4 * t);
+      }
+      std::memcpy(&w[t], word, sizeof(Lanes));
+    }
+    Lanes a = s[0], b = s[1], c = s[2], d = s[3];
+    Lanes e = s[4], f = s[5], g = s[6], h = s[7];
+#if defined(__clang__)
+#pragma unroll
+#else
+#pragma GCC unroll 64
+#endif
+    for (size_t i = 0; i < 64; ++i) {
+      if (i >= 16) {
+        const Lanes w15 = w[(i - 15) % 16];
+        const Lanes w2 = w[(i - 2) % 16];
+        w[i % 16] +=
+            (ACCTEE_ROTR(w15, 7) ^ ACCTEE_ROTR(w15, 18) ^ (w15 >> 3)) +
+            w[(i - 7) % 16] +
+            (ACCTEE_ROTR(w2, 17) ^ ACCTEE_ROTR(w2, 19) ^ (w2 >> 10));
+      }
+      Lanes t1 = h + (ACCTEE_ROTR(e, 6) ^ ACCTEE_ROTR(e, 11) ^
+                      ACCTEE_ROTR(e, 25)) +
+                 ((e & f) ^ (~e & g)) + kK[i] + w[i % 16];
+      Lanes t2 = (ACCTEE_ROTR(a, 2) ^ ACCTEE_ROTR(a, 13) ^
+                  ACCTEE_ROTR(a, 22)) +
+                 ((a & b) ^ (a & c) ^ (b & c));
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+    s[0] += a;
+    s[1] += b;
+    s[2] += c;
+    s[3] += d;
+    s[4] += e;
+    s[5] += f;
+    s[6] += g;
+    s[7] += h;
+  }
+  for (size_t k = 0; k < 8; ++k) {
+    alignas(sizeof(Lanes)) uint32_t word[kLanes];
+    std::memcpy(word, &s[k], sizeof(Lanes));
+    for (size_t lane = 0; lane < kLanes; ++lane) {
+      store_be32(group.out[lane].data() + 4 * k, word[lane]);
+    }
+  }
+}
+
+#undef ACCTEE_ROTR
+
+using HashLanesFn = void (*)(const LaneGroup&);
+
+void hash_lanes_baseline(const LaneGroup& group) { hash_lanes(group); }
+
+#if defined(__x86_64__)
+// Compiled for AVX-512F without raising the baseline of any other code;
+// only called after cpu_has_avx512f() said yes.
+__attribute__((target("avx512f"))) void hash_lanes_avx512(
+    const LaneGroup& group) {
+  hash_lanes(group);
+}
+#endif
+
+struct ManyBackend {
+  HashLanesFn lanes;  // null: every message one at a time
+  std::string_view name;
+};
+
+// Chosen once, on first use, like backend().
+const ManyBackend& many_backend() {
+  static const ManyBackend chosen = [] {
+#if defined(__x86_64__)
+    if (cpu_has_avx512f()) return ManyBackend{hash_lanes_avx512, "avx512-x16"};
+#endif
+    return ManyBackend{nullptr, "one-at-a-time"};
+  }();
+  return chosen;
+}
+
 }  // namespace
+
+// One sha256_many call: the midstate every message continues from and the
+// block layout all its messages share.
+struct MultiMessage {
+  Sha256State start;
+  size_t whole;  // whole blocks per message
+  size_t rem;    // bytes in the partial block
+  Tail tail;     // padded tail, its first `rem` bytes left for the message
+  size_t tail_blocks;
+
+  MultiMessage(const Sha256& from, std::span<const uint8_t* const> messages,
+               size_t length, std::span<Digest> out)
+      : start(from.state_), whole(length / 64), rem(length % 64) {
+    if (from.buffer_len_ != 0) {
+      throw std::invalid_argument("sha256_many: midstate holds a partial block");
+    }
+    if (out.size() != messages.size()) {
+      throw std::invalid_argument("sha256_many: one digest slot per message");
+    }
+    tail_blocks = pad_tail(tail, rem, from.total_len_ + length);
+  }
+
+  // Every message's blocks go straight to the compression function.
+  void one_at_a_time(std::span<const uint8_t* const> messages,
+                     std::span<Digest> out) const {
+    CompressFn compress = backend().compress;
+    Tail padded = tail;
+    for (size_t i = 0; i < messages.size(); ++i) {
+      Sha256State state = start;
+      if (whole > 0) compress(state, messages[i], whole);
+      if (rem > 0) std::memcpy(padded.data(), messages[i] + 64 * whole, rem);
+      compress(state, padded.data(), tail_blocks);
+      store_digest(state, out[i]);
+    }
+  }
+
+  // Full groups of sixteen through `lanes`, the remainder one at a time.
+  void sixteen_at_a_time(HashLanesFn lanes,
+                         std::span<const uint8_t* const> messages,
+                         std::span<Digest> out) const {
+    size_t grouped = messages.size() - messages.size() % kLanes;
+    // Each lane's tail keeps its padding; only the message bytes change.
+    std::array<Tail, kLanes> padded;
+    padded.fill(tail);
+    LaneGroup group{&start, {}, whole, {}, tail_blocks, nullptr};
+    for (size_t lane = 0; lane < kLanes; ++lane) {
+      group.tails[lane] = padded[lane].data();
+    }
+    for (size_t first = 0; first < grouped; first += kLanes) {
+      for (size_t lane = 0; lane < kLanes; ++lane) {
+        group.blocks[lane] = messages[first + lane];
+        if (rem > 0) {
+          std::memcpy(padded[lane].data(), group.blocks[lane] + 64 * whole,
+                      rem);
+        }
+      }
+      group.out = out.data() + first;
+      lanes(group);
+    }
+    one_at_a_time(messages.subspan(grouped), out.subspan(grouped));
+  }
+};
 
 void sha256_compress_portable(Sha256State& state, const uint8_t* blocks,
                               size_t nblocks) {
   for (size_t n = 0; n < nblocks; ++n) {
     const uint8_t* block = blocks + 64 * n;
     uint32_t w[64];
-    for (size_t i = 0; i < 16; ++i) {
-      w[i] = static_cast<uint32_t>(block[4 * i]) << 24 |
-             static_cast<uint32_t>(block[4 * i + 1]) << 16 |
-             static_cast<uint32_t>(block[4 * i + 2]) << 8 |
-             static_cast<uint32_t>(block[4 * i + 3]);
-    }
+    for (size_t i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
     for (size_t i = 16; i < 64; ++i) {
       uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
       uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
@@ -192,6 +423,34 @@ ACCTEE_SHA_NI_TARGET void sha256_compress_sha_ni(Sha256State& state,
 
 std::string_view sha256_backend() { return backend().name; }
 
+std::string_view sha256_many_backend() { return many_backend().name; }
+
+void sha256_many(std::span<const uint8_t* const> messages, size_t length,
+                 std::span<Digest> out, const Sha256& from) {
+  MultiMessage batch(from, messages, length, out);
+  if (HashLanesFn lanes = many_backend().lanes) {
+    batch.sixteen_at_a_time(lanes, messages, out);
+  } else {
+    batch.one_at_a_time(messages, out);
+  }
+}
+
+void sha256_many_x16_portable(std::span<const uint8_t* const> messages,
+                              size_t length, std::span<Digest> out,
+                              const Sha256& from) {
+  MultiMessage(from, messages, length, out)
+      .sixteen_at_a_time(hash_lanes_baseline, messages, out);
+}
+
+#if defined(__x86_64__)
+void sha256_many_x16_avx512(std::span<const uint8_t* const> messages,
+                            size_t length, std::span<Digest> out,
+                            const Sha256& from) {
+  MultiMessage(from, messages, length, out)
+      .sixteen_at_a_time(hash_lanes_avx512, messages, out);
+}
+#endif
+
 Sha256::Sha256() { reset(); }
 
 void Sha256::reset() {
@@ -226,23 +485,12 @@ void Sha256::update(BytesView data) {
 }
 
 Digest Sha256::finish() {
-  uint64_t bit_len = total_len_ * 8;
-  uint8_t pad[72];
-  size_t pad_len = (buffer_len_ < 56) ? 56 - buffer_len_ : 120 - buffer_len_;
-  std::memset(pad, 0, sizeof(pad));
-  pad[0] = 0x80;
-  for (int i = 0; i < 8; ++i) {
-    pad[pad_len + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  update(BytesView(pad, pad_len + 8));
-
+  Tail tail;
+  size_t blocks = pad_tail(tail, buffer_len_, total_len_);
+  std::memcpy(tail.data(), buffer_.data(), buffer_len_);
+  backend().compress(state_, tail.data(), blocks);
   Digest out;
-  for (int i = 0; i < 8; ++i) {
-    out[4 * i + 0] = static_cast<uint8_t>(state_[i] >> 24);
-    out[4 * i + 1] = static_cast<uint8_t>(state_[i] >> 16);
-    out[4 * i + 2] = static_cast<uint8_t>(state_[i] >> 8);
-    out[4 * i + 3] = static_cast<uint8_t>(state_[i]);
-  }
+  store_digest(state_, out);
   return out;
 }
 

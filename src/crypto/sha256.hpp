@@ -10,12 +10,18 @@
 // everywhere else the portable one runs. The CPU decides: there is no
 // option. The portable function is also the reference the differential
 // tests compare the hardware one against.
+//
+// Batches of independent equal-length messages (Lamport preimages, key
+// fingerprints, HMAC slots) go through sha256_many, which on CPUs with
+// AVX-512F hashes them sixteen at a time in one 16-lane kernel, and
+// elsewhere one at a time straight into the compression function.
 #pragma once
 
 #include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "common/bytes.hpp"
@@ -44,6 +50,9 @@ class Sha256 {
   void reset();
 
  private:
+  // Reads the midstate every message of a sha256_many call continues from.
+  friend struct MultiMessage;
+
   Sha256State state_;
   std::array<uint8_t, 64> buffer_;
   size_t buffer_len_ = 0;
@@ -122,6 +131,15 @@ class Sha256Writer {
 /// One-shot convenience.
 Digest sha256(BytesView data);
 
+/// Hashes independent messages of one length: out[i] is the SHA-256 of
+/// what `from` absorbed followed by the `length` bytes at messages[i].
+/// `from` must hold whole blocks only (a fresh context, or a keyed HMAC
+/// midstate) and `out` one slot per message; each out[i] may be the very
+/// bytes messages[i] points at, and may overlap nothing else. Throws
+/// std::invalid_argument otherwise.
+void sha256_many(std::span<const uint8_t* const> messages, size_t length,
+                 std::span<Digest> out, const Sha256& from = Sha256());
+
 /// Digest as owned bytes (for wire formats).
 Bytes digest_bytes(const Digest& d);
 
@@ -145,5 +163,25 @@ void sha256_compress_sha_ni(Sha256State& state, const uint8_t* blocks,
 /// The compression function Sha256 uses on this CPU: "sha-ni" or
 /// "portable".
 std::string_view sha256_backend();
+
+/// sha256_many with each full group of sixteen messages hashed in lockstep
+/// by the 16-lane kernel compiled for the baseline ISA. Far slower than
+/// one at a time, but it runs the lane, transpose and padding logic on
+/// every CPU.
+void sha256_many_x16_portable(std::span<const uint8_t* const> messages,
+                              size_t length, std::span<Digest> out,
+                              const Sha256& from);
+
+#if defined(__x86_64__)
+/// The same 16-lane kernel compiled for AVX-512F: call only when
+/// sha256_many_backend() is "avx512-x16".
+void sha256_many_x16_avx512(std::span<const uint8_t* const> messages,
+                            size_t length, std::span<Digest> out,
+                            const Sha256& from);
+#endif
+
+/// The path sha256_many takes on this CPU: "avx512-x16" (sixteen messages
+/// at a time, a remainder one at a time) or "one-at-a-time".
+std::string_view sha256_many_backend();
 
 }  // namespace acctee::crypto

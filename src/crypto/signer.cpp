@@ -1,6 +1,7 @@
 #include "crypto/signer.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/error.hpp"
 #include "crypto/hmac.hpp"
@@ -40,6 +41,9 @@ Signature Signature::deserialize(BytesView data) {
   out.one_time_key = LamportPublicKey::deserialize(take("public key"));
   out.inclusion = MerkleProof::deserialize(take("proof"));
   out.lamport = LamportSignature::deserialize(take("lamport"));
+  if (off != data.size()) {
+    throw std::invalid_argument("Signature: trailing bytes");
+  }
   return out;
 }
 
@@ -64,15 +68,27 @@ std::vector<LamportKeyPair> derive_keys(BytesView seed, uint32_t num_keys) {
   return keys;
 }
 
+// The one-time keys' fingerprints (LamportPublicKey::fingerprint), as one
+// batch.
+std::vector<Digest> fingerprints(std::span<const LamportPublicKey* const> keys) {
+  std::vector<const uint8_t*> messages(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    messages[i] = keys[i]->bytes().data();
+  }
+  std::vector<Digest> out(keys.size());
+  sha256_many(messages, sizeof(LamportPublicKey::hashes), out);
+  return out;
+}
+
 }  // namespace
 
 MerkleTree Signer::build_tree(const std::vector<LamportKeyPair>& keys) {
+  std::vector<const LamportPublicKey*> pubs;
+  pubs.reserve(keys.size());
+  for (const auto& kp : keys) pubs.push_back(&kp.pub);
   std::vector<Bytes> leaves;
   leaves.reserve(keys.size());
-  for (const auto& kp : keys) {
-    Digest fp = kp.pub.fingerprint();
-    leaves.push_back(digest_bytes(fp));
-  }
+  for (const Digest& fp : fingerprints(pubs)) leaves.push_back(digest_bytes(fp));
   return MerkleTree(leaves);
 }
 
@@ -94,13 +110,31 @@ Signature Signer::sign(BytesView message) {
 
 bool signature_verify(const Digest& identity, BytesView message,
                       const Signature& sig) {
-  if (sig.inclusion.leaf_index != sig.key_index) return false;
-  Digest fp = sig.one_time_key.fingerprint();
-  if (!merkle_verify(identity, BytesView(fp.data(), fp.size()),
-                     sig.inclusion)) {
-    return false;
+  const Signature* one = &sig;
+  return signature_verify_many(identity, {&message, 1}, {&one, 1})[0];
+}
+
+std::vector<bool> signature_verify_many(
+    const Digest& identity, std::span<const BytesView> messages,
+    std::span<const Signature* const> signatures) {
+  if (messages.size() != signatures.size()) {
+    throw std::invalid_argument(
+        "signature_verify_many: one signature per message");
   }
-  return lamport_verify(sig.one_time_key, message, sig.lamport);
+  std::vector<const LamportPublicKey*> keys(signatures.size());
+  for (size_t i = 0; i < signatures.size(); ++i) {
+    keys[i] = &signatures[i]->one_time_key;
+  }
+  std::vector<Digest> fps = fingerprints(keys);
+  std::vector<bool> ok(signatures.size());
+  for (size_t i = 0; i < signatures.size(); ++i) {
+    const Signature& sig = *signatures[i];
+    ok[i] = sig.inclusion.leaf_index == sig.key_index &&
+            merkle_verify(identity, BytesView(fps[i].data(), fps[i].size()),
+                          sig.inclusion) &&
+            lamport_verify(sig.one_time_key, messages[i], sig.lamport);
+  }
+  return ok;
 }
 
 }  // namespace acctee::crypto

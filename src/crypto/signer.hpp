@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -56,5 +57,13 @@ class Signer {
 /// Verifies `sig` over `message` against a signer identity root.
 bool signature_verify(const Digest& identity, BytesView message,
                       const Signature& sig);
+
+/// Verifies each *signatures[i] over messages[i] against one identity and
+/// returns the verdicts in input order, each what signature_verify would
+/// return. The one-time keys' fingerprints are hashed in one sha256_many
+/// batch. Throws std::invalid_argument if the two spans differ in size.
+std::vector<bool> signature_verify_many(
+    const Digest& identity, std::span<const BytesView> messages,
+    std::span<const Signature* const> signatures);
 
 }  // namespace acctee::crypto

@@ -270,6 +270,115 @@ TEST(AuditLedger, DetectsBitFlippedLog) {
       << report.to_string();
 }
 
+// A sealed ledger of exactly 40 single-log executions: two full groups of
+// sixteen for the batched key fingerprints, and a remainder of eight.
+Ledger forty_entry_ledger(AuditWorld& world) {
+  Ledger ledger = make_ledger(world);
+  while (ledger.entries().size() < 40) append_all(ledger, world.run_logs(100));
+  ledger.seal();
+  return ledger;
+}
+
+// Where entry `k`'s signature starts in ledger.serialize(), past its
+// length prefix.
+size_t signature_offset(const Ledger& ledger, size_t k) {
+  size_t off = to_bytes("acctee-audit-ledger").size() + 4 + 8 + 32 + 8;
+  for (size_t i = 0;; ++i) {
+    const LedgerEntry& entry = ledger.entries()[i];
+    off += 4 + entry.tenant.size() + 4 + entry.function.size() + 4 +
+           entry.signed_log.log.serialize().size() + 4;
+    if (i == k) return off;
+    off += entry.signed_log.signature.serialize().size();
+  }
+}
+
+std::string forged_entry_problem(const Ledger& ledger, size_t k) {
+  return "entry " + std::to_string(k) + " (sequence " +
+         std::to_string(ledger.entries()[k].signed_log.log.sequence) +
+         "): signature does not verify against the AE identity (forged or "
+         "bit-flipped log)";
+}
+
+TEST(AuditLedger, BatchedSignatureChecksNameEachForgedEntry) {
+  AuditWorld world;
+  Ledger ledger = forty_entry_ledger(world);
+  ASSERT_EQ(ledger.entries().size(), 40u);
+  ASSERT_TRUE(verify_ledger(ledger, world.ae.identity()).ok);
+  const Bytes bytes = ledger.serialize();
+
+  // One byte of the one-time public key: lane 0 and lane 15 of the first
+  // group, the first lane of the second, and the remainder. The byte is in
+  // the slot the Lamport check does not consult for bit 0, so only the
+  // batched fingerprint can catch it.
+  for (size_t k : {0ul, 15ul, 16ul, 39ul}) {
+    crypto::Digest md =
+        crypto::sha256(ledger.entries()[k].signed_log.log.serialize());
+    size_t unused_slot = 1 - (md[0] >> 7);
+    Bytes tampered = bytes;
+    tampered[signature_offset(ledger, k) + 8 + 32 * unused_slot + 5] ^= 0x01;
+    VerifyReport report =
+        verify_ledger(Ledger::deserialize(tampered), world.ae.identity());
+    EXPECT_EQ(report.problems,
+              std::vector<std::string>{forged_entry_problem(ledger, k)})
+        << "entry " << k << "\n"
+        << report.to_string();
+  }
+
+  // One revealed preimage of entry 7: past the key index, the public key,
+  // the proof and the Lamport part's length prefix.
+  const crypto::Signature& sig = ledger.entries()[7].signed_log.signature;
+  size_t revealed = signature_offset(ledger, 7) + 4 + 4 +
+                    sig.one_time_key.serialize().size() + 4 +
+                    sig.inclusion.serialize().size() + 4;
+  Bytes tampered = bytes;
+  tampered[revealed + 32 * 100 + 3] ^= 0x80;
+  VerifyReport report =
+      verify_ledger(Ledger::deserialize(tampered), world.ae.identity());
+  EXPECT_EQ(report.problems,
+            std::vector<std::string>{forged_entry_problem(ledger, 7)})
+      << report.to_string();
+}
+
+TEST(AuditLedger, BatchedVerdictsEqualOneAtATime) {
+  AuditWorld world;
+  Ledger ledger = forty_entry_ledger(world);
+  std::vector<Bytes> messages;
+  std::vector<crypto::Signature> sigs;
+  for (const LedgerEntry& entry : ledger.entries()) {
+    messages.push_back(entry.signed_log.log.serialize());
+    sigs.push_back(entry.signed_log.signature);
+  }
+  // Forgeries of every kind, spread over both lane groups and the
+  // remainder.
+  sigs[2].one_time_key.hashes[5][0] ^= 1;   // key off its Merkle leaf
+  sigs[9].lamport.revealed[200][31] ^= 1;   // wrong preimage
+  sigs[17].key_index += 1;                  // index not the proof's
+  sigs[21].inclusion.siblings[0][0] ^= 1;   // broken inclusion proof
+  messages[30].push_back(0);                // message not the signed one
+  sigs[38] = sigs[37];                      // another entry's signature
+  std::vector<BytesView> views(messages.begin(), messages.end());
+  std::vector<const crypto::Signature*> pointers;
+  for (const crypto::Signature& sig : sigs) pointers.push_back(&sig);
+
+  std::vector<bool> many =
+      crypto::signature_verify_many(world.ae.identity(), views, pointers);
+  ASSERT_EQ(many.size(), sigs.size());
+  size_t valid = 0;
+  for (size_t i = 0; i < sigs.size(); ++i) {
+    EXPECT_EQ(many[i], crypto::signature_verify(world.ae.identity(),
+                                                messages[i], sigs[i]))
+        << "entry " << i;
+    valid += many[i];
+  }
+  EXPECT_EQ(valid, sigs.size() - 6);
+  EXPECT_TRUE(crypto::signature_verify_many(world.ae.identity(), {}, {})
+                  .empty());
+  EXPECT_THROW(crypto::signature_verify_many(
+                   world.ae.identity(), std::span(views).first(2),
+                   std::span(pointers).first(1)),
+               std::invalid_argument);
+}
+
 TEST(AuditLedger, DetectsWrongIdentity) {
   AuditWorld world;
   Ledger ledger = make_ledger(world);
@@ -386,6 +495,20 @@ TEST(AuditLedger, DeserializeRejectsCorruptFiles) {
   Bytes bad_magic = bytes;
   bad_magic[0] ^= 0xff;
   EXPECT_THROW(Ledger::deserialize(bad_magic), std::invalid_argument);
+
+  // Junk inside entry 1's signature blob, its length prefix grown to
+  // match: the file's framing is intact, the signature's is not.
+  size_t sig_off = signature_offset(ledger, 1);
+  size_t sig_size = ledger.entries()[1].signed_log.signature.serialize().size();
+  Bytes junk_in_signature(bytes.begin(), bytes.begin() + sig_off - 4);
+  append_u32le(junk_in_signature, static_cast<uint32_t>(sig_size + 2));
+  junk_in_signature.insert(junk_in_signature.end(), bytes.begin() + sig_off,
+                           bytes.begin() + sig_off + sig_size);
+  junk_in_signature.push_back(0xde);
+  junk_in_signature.push_back(0xad);
+  junk_in_signature.insert(junk_in_signature.end(),
+                           bytes.begin() + sig_off + sig_size, bytes.end());
+  EXPECT_THROW(Ledger::deserialize(junk_in_signature), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

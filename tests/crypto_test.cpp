@@ -1,9 +1,11 @@
 // Unit tests for src/crypto: SHA-256/HMAC against published test vectors,
-// the hardware SHA-256 compression against the portable one, Lamport
-// one-time signatures, Merkle trees, and the multi-use Signer.
+// the hardware SHA-256 compression and the multi-message paths against the
+// portable one, Lamport one-time signatures, Merkle trees, and the
+// multi-use Signer.
 #include <gtest/gtest.h>
 
 #include <latch>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -133,6 +135,143 @@ TEST(Sha256Concurrent, FirstUseFromManyThreads) {
   EXPECT_EQ(digests[0], portable_sha256(data));
 }
 
+// ---- Multi-message SHA-256 ------------------------------------------------
+
+using ManyFn = void (*)(std::span<const uint8_t* const>, size_t,
+                        std::span<Digest>, const Sha256&);
+
+// `count` messages of `length` bytes, laid end to end in one random buffer.
+std::vector<const uint8_t*> lay_out(const Bytes& data, size_t count,
+                                    size_t length) {
+  std::vector<const uint8_t*> messages(count);
+  for (size_t i = 0; i < count; ++i) messages[i] = data.data() + i * length;
+  return messages;
+}
+
+// Counts that fill no lane group, part of one, exactly one, one plus a
+// remainder, and many; lengths 0-130 cover one- and two-block tails at
+// every offset, 16,384 is a one-time public key.
+constexpr size_t kManyCounts[] = {0, 1, 15, 16, 17, 33, 512};
+
+std::vector<size_t> many_lengths() {
+  std::vector<size_t> lengths;
+  for (size_t length = 0; length <= 130; ++length) lengths.push_back(length);
+  lengths.push_back(16384);
+  return lengths;
+}
+
+// Every digest `many` produces from a fresh context equals portable_sha256
+// of the same message.
+void expect_many_matches_portable(ManyFn many) {
+  Bytes data = Xoshiro256(21).next_bytes(512 * 16384);
+  for (size_t length : many_lengths()) {
+    for (size_t count : kManyCounts) {
+      std::vector<const uint8_t*> messages = lay_out(data, count, length);
+      std::vector<Digest> out(count);
+      many(messages, length, out, Sha256());
+      for (size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(out[i], portable_sha256(BytesView(messages[i], length)))
+            << "length=" << length << " count=" << count << " i=" << i;
+      }
+    }
+  }
+}
+
+// From a midstate that absorbed one or two blocks, each digest equals the
+// portable one of prefix || message, and out[i] may be messages[i] itself.
+void expect_many_continues_from_midstate(ManyFn many) {
+  Bytes data = Xoshiro256(22).next_bytes(40 * 130);
+  for (size_t prefix_len : {64ul, 128ul}) {
+    Bytes prefix = Xoshiro256(prefix_len).next_bytes(prefix_len);
+    Sha256 from;
+    from.update(prefix);
+    for (size_t length : {0ul, 14ul, 16ul, 32ul, 55ul, 56ul, 64ul, 130ul}) {
+      for (size_t count : {1ul, 16ul, 17ul, 33ul}) {
+        std::vector<const uint8_t*> messages = lay_out(data, count, length);
+        std::vector<Digest> out(count);
+        many(messages, length, out, from);
+        for (size_t i = 0; i < count; ++i) {
+          Bytes whole = prefix;
+          whole.insert(whole.end(), messages[i], messages[i] + length);
+          ASSERT_EQ(out[i], portable_sha256(whole))
+              << "prefix=" << prefix_len << " length=" << length
+              << " count=" << count << " i=" << i;
+        }
+      }
+    }
+  }
+  // In place: 32-byte messages hashed over themselves.
+  std::vector<Digest> digests(33);
+  std::vector<Digest> expected(digests.size());
+  std::vector<const uint8_t*> messages(digests.size());
+  for (size_t i = 0; i < digests.size(); ++i) {
+    digests[i] = sha256(to_bytes("message " + std::to_string(i)));
+    expected[i] = portable_sha256(digests[i]);
+    messages[i] = digests[i].data();
+  }
+  many(messages, sizeof(Digest), digests, Sha256());
+  EXPECT_EQ(digests, expected);
+}
+
+TEST(Sha256Many, MatchesPortableAtEveryLengthAndCount) {
+  expect_many_matches_portable(sha256_many);
+  expect_many_continues_from_midstate(sha256_many);
+}
+
+TEST(Sha256Many, PortableLanesMatchPortable) {
+  // The 16-lane body compiled for the baseline ISA, so every CPU checks
+  // the lane, transpose and padding logic.
+  expect_many_matches_portable(sha256_many_x16_portable);
+  expect_many_continues_from_midstate(sha256_many_x16_portable);
+}
+
+TEST(Sha256Many, Avx512LanesMatchPortable) {
+  if (sha256_many_backend() != "avx512-x16") {
+    GTEST_SKIP() << "this CPU has no AVX-512F";
+  }
+#if defined(__x86_64__)
+  expect_many_matches_portable(sha256_many_x16_avx512);
+  expect_many_continues_from_midstate(sha256_many_x16_avx512);
+#endif
+}
+
+TEST(Sha256Many, RejectsPartialMidstateAndMismatchedOutput) {
+  Bytes data(64, 0x5a);
+  std::vector<const uint8_t*> messages = lay_out(data, 2, 32);
+  std::vector<Digest> out(2);
+  Sha256 partial;
+  partial.update(BytesView(data).subspan(0, 10));
+  EXPECT_THROW(sha256_many(messages, 32, out, partial), std::invalid_argument);
+  std::vector<Digest> short_out(1);
+  EXPECT_THROW(sha256_many(messages, 32, short_out), std::invalid_argument);
+  EXPECT_THROW(sha256_many_x16_portable(messages, 32, short_out, Sha256()),
+               std::invalid_argument);
+}
+
+TEST(Sha256Concurrent, ManyFirstUseFromManyThreads) {
+  // As FirstUseFromManyThreads, for the multi-message pick: each thread's
+  // first hash is a sha256_many call wide enough to reach the lanes.
+  constexpr size_t kThreads = 8;
+  constexpr size_t kCount = 40;
+  Bytes data = Xoshiro256(23).next_bytes(kCount * 32);
+  std::vector<const uint8_t*> messages = lay_out(data, kCount, 32);
+  std::vector<std::vector<Digest>> digests(kThreads,
+                                           std::vector<Digest>(kCount));
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      sha256_many(messages, 32, digests[t]);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const std::vector<Digest>& d : digests) EXPECT_EQ(d, digests[0]);
+  for (size_t i = 0; i < kCount; ++i) {
+    EXPECT_EQ(digests[0][i], portable_sha256(BytesView(messages[i], 32)));
+  }
+}
+
 TEST(Hmac, Rfc4231Vectors) {
   // RFC 4231 test case 1.
   Bytes key(20, 0x0b);
@@ -168,6 +307,26 @@ TEST(Hmac, ContextReusedAcrossMessages) {
             "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
   EXPECT_EQ(ctx.mac(m6), hmac_sha256(key, m6));
   EXPECT_EQ(ctx.mac(m7), hmac_sha256(key, m7));
+}
+
+TEST(Hmac, MacManyMatchesMac) {
+  Bytes data = Xoshiro256(24).next_bytes(512 * 100);
+  // A key shorter than a block and one hashed down first.
+  for (const Bytes& key : {to_bytes("Jefe"), Bytes(131, 0xaa)}) {
+    HmacSha256 ctx(key);
+    for (size_t length : {0ul, 14ul, 16ul, 32ul, 55ul, 56ul, 100ul}) {
+      for (size_t count : {0ul, 1ul, 16ul, 17ul, 512ul}) {
+        std::vector<const uint8_t*> messages = lay_out(data, count, length);
+        std::vector<Digest> out(count);
+        ctx.mac_many(messages, length, out);
+        for (size_t i = 0; i < count; ++i) {
+          ASSERT_EQ(out[i], ctx.mac(BytesView(messages[i], length)))
+              << "key=" << key.size() << " length=" << length
+              << " count=" << count << " i=" << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(Hmac, VerifyAcceptsAndRejects) {
@@ -330,6 +489,33 @@ TEST(Signer, KeyMaterialPinned) {
   Signature sig = signer.sign(to_bytes("pinned message"));
   EXPECT_EQ(digest_hex(sha256(sig.serialize())),
             "4bd65d2af943a1e789313dad79e44c7e61c0b4d380589702dd85cd17b29d1801");
+}
+
+TEST(Signer, KeyMaterialPinnedAcrossLaneGroups) {
+  // 37 keys: two full groups of sixteen and a remainder, for the key
+  // fingerprints batched in the tree; every key's 512 slots are batched
+  // too. Both values were computed before the batched paths existed.
+  Signer signer(to_bytes("seed"), 37);
+  EXPECT_EQ(digest_hex(signer.identity()),
+            "ce22d8af82c0f0e8e13914e047c50025e4d9281efcc91431233904dbd8386d01");
+  for (int i = 0; i < 36; ++i) signer.sign(to_bytes("x"));
+  Signature sig = signer.sign(to_bytes("pinned message"));
+  EXPECT_EQ(sig.key_index, 36u);
+  EXPECT_EQ(digest_hex(sha256(sig.serialize())),
+            "b1a471b3f91f37a37fd29dbdb3fbdcef894c0fd6699cf4e17ef989286c685c3c");
+}
+
+TEST(Signer, DeserializeRejectsTrailingBytes) {
+  // One canonical encoding: junk after the Lamport part must not decode
+  // to a signature that still verifies but re-serializes differently.
+  Signer signer(to_bytes("s5"), 2);
+  Bytes msg = to_bytes("m");
+  Bytes bytes = signer.sign(msg).serialize();
+  ASSERT_TRUE(signature_verify(signer.identity(), msg,
+                               Signature::deserialize(bytes)));
+  bytes.push_back(0x00);
+  bytes.push_back(0x01);
+  EXPECT_THROW(Signature::deserialize(bytes), std::invalid_argument);
 }
 
 TEST(Signer, SignatureSerializationRoundTrip) {
